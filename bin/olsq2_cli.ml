@@ -51,8 +51,7 @@ let objective_arg =
 
 let method_arg =
   let doc =
-    "Synthesis method: olsq2 (exact), tb (transition-based), sabre, astar, satmap, or \
-     portfolio (parallel arms racing on separate cores)."
+    "Synthesis method: olsq2 (exact), tb (transition-based), sabre, astar, or satmap."
   in
   Arg.(
     value
@@ -60,7 +59,7 @@ let method_arg =
         (enum
            [
              ("olsq2", `Olsq2); ("tb", `Tb); ("sabre", `Sabre); ("astar", `Astar);
-             ("satmap", `Satmap); ("portfolio", `Portfolio);
+             ("satmap", `Satmap);
            ])
         `Olsq2
     & info [ "m"; "method" ] ~doc)
@@ -138,7 +137,6 @@ let print_stats_block ~label agg (iters : Core.Optimizer.iter_stat list) =
 let run_synth circuit_spec device_name (common : Cli_options.common) swap_duration objective
     method_ warm output trace metrics metrics_out stats prom flamegraph =
   let certify = common.Cli_options.certify in
-  let simplify = common.Cli_options.simplify in
   let obs =
     if trace <> None || metrics || metrics_out <> None || prom <> None || flamegraph <> None
     then (
@@ -164,7 +162,6 @@ let run_synth circuit_spec device_name (common : Cli_options.common) swap_durati
   Printf.printf "circuit: %s   device: %s   swap duration: %d\n" (Circuit.label circuit)
     device.Coupling.name swap_duration;
   Printf.printf "T_LB (longest dependency chain) = %d\n%!" (Core.Instance.depth_lower_bound instance);
-  let budget_t = Cli_options.budget common in
   let finish ?certificate result =
     match result with
     | None ->
@@ -206,7 +203,7 @@ let run_synth circuit_spec device_name (common : Cli_options.common) swap_durati
     match method_ with
     | (`Tb | `Sabre | `Astar | `Satmap) when certify ->
       Printf.printf
-        "--certify requires an exact method with a refutable bound; use -m olsq2 or -m portfolio\n";
+        "--certify requires an exact method with a refutable bound; use -m olsq2\n";
       1
     | `Olsq2 | `Tb ->
       let synth_objective =
@@ -235,54 +232,6 @@ let run_synth circuit_spec device_name (common : Cli_options.common) swap_durati
     | `Satmap ->
       let o = Satmap.synthesize ?budget_seconds:common.Cli_options.budget_seconds instance in
       finish o.Satmap.result
-    | `Portfolio ->
-      let objective =
-        match objective with `Depth -> Core.Portfolio.Depth | `Swap -> Core.Portfolio.Swaps
-      in
-      (* an explicit --simplify/--no-simplify overrides every arm,
-         including the default preprocessed one *)
-      let arms =
-        match simplify with
-        | None -> None
-        | Some b ->
-          Some
-            (List.map
-               (fun (arm : Core.Portfolio.arm) ->
-                 {
-                   arm with
-                   Core.Portfolio.arm_config =
-                     { arm.Core.Portfolio.arm_config with Core.Config.simplify = b };
-                 })
-               (Core.Portfolio.default_arms objective))
-      in
-      let report =
-        Core.Portfolio.run ~budget:budget_t ?arms ~certify
-          ?proof_file:common.Cli_options.proof_file
-          ~share:(Option.value common.Cli_options.share ~default:false)
-          objective instance
-      in
-      List.iter
-        (fun (arm : Core.Portfolio.arm_outcome) ->
-          Printf.printf "arm %-18s %6.1fs %s\n" arm.Core.Portfolio.arm.Core.Portfolio.arm_name
-            arm.Core.Portfolio.seconds
-            (match arm.Core.Portfolio.result with
-            | Some r ->
-              Printf.sprintf "depth=%d swaps=%d%s" r.Core.Result_.depth r.Core.Result_.swap_count
-                (if arm.Core.Portfolio.optimal then " (optimal)" else "")
-            | None -> "no result"))
-        report.Core.Portfolio.arms;
-      if stats then
-        List.iter
-          (fun (a : Core.Portfolio.arm_outcome) ->
-            print_stats_block
-              ~label:(Printf.sprintf "arm %s" a.Core.Portfolio.arm.Core.Portfolio.arm_name)
-              a.Core.Portfolio.arm_stats [])
-          report.Core.Portfolio.arms;
-      (match report.Core.Portfolio.winner with
-      | Some w ->
-        Printf.printf "winner: %s\n" w.Core.Portfolio.arm.Core.Portfolio.arm_name;
-        finish ?certificate:report.Core.Portfolio.certificate w.Core.Portfolio.result
-      | None -> finish None)
   in
   if stats then Core.Optimizer.set_progress_sink None;
   (match trace with

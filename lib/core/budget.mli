@@ -1,11 +1,11 @@
 (** Unified resource budgets for optimization runs.
 
     Replaces the [?budget_seconds : float] label that used to be
-    duplicated (with subtly different plumbing) across [Optimizer],
-    [Portfolio] and [Synthesis]: one value describes the wall-clock
-    allowance, an optional global conflict cap, and an optional per-bound
-    cap, and the same {!state} drives cancellation identically on the
-    sequential, portfolio and cube-and-conquer paths.
+    duplicated (with subtly different plumbing) across the optimization
+    entry points: one value describes the wall-clock allowance, an
+    optional global conflict cap, and an optional per-bound cap, and the
+    same {!state} drives cancellation identically on the sequential and
+    cube-and-conquer paths.
 
     A {!t} is a declarative limit; {!start} turns it into a running
     {!state} with a fixed deadline and a cumulative conflict account.

@@ -13,8 +13,8 @@
 
     Certification re-solves the instance on a fresh encoder with proof
     logging attached from the first clause, rather than logging the whole
-    optimization run: the optimizer is free to race portfolio arms or use
-    theory-guided configurations whose lemmas a pure CNF checker could not
+    optimization run: the optimizer is free to use an incremental session,
+    a cube-and-conquer pool or theory-guided configurations whose lemmas a pure CNF checker could not
     replay.  Lazy-integer configurations are therefore substituted with
     the bit-vector encoding — the certified statement is about the
     instance, not about any particular encoding.

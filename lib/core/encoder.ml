@@ -37,7 +37,6 @@ module Coupling = Olsq2_device.Coupling
 module Symmetry = Olsq2_device.Symmetry
 module Obs = Olsq2_obs.Obs
 module Simplify = Olsq2_simplify.Simplify
-module Share = Olsq2_parallel.Share
 
 type counter =
   | Card of Cardinality.outputs
@@ -415,11 +414,6 @@ let build_raw ?(config = Config.default) ?proof instance ~t_max =
       enc.simplify_report <- Some (Simplify.preprocess s);
       Simplify.attach_inprocessing s
     end);
-  (* Portfolio-arm clause sharing: when the share hub is live, register
-     this encoding's solver under a fingerprint of its database; arms
-     that built the identical CNF join one channel.  Proof-logged
-     encoders stay out entirely, so certified runs share nothing. *)
-  if proof = None && Share.hub_active () then Share.hub_attach (Ctx.solver ctx);
   enc
 
 (* One span per encoding build, carrying the clause/variable counts the

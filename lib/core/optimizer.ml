@@ -5,8 +5,7 @@
 
    - Depth: start at the lower bound T_LB; on UNSAT grow the bound
      geometrically (x1.3 below 100, x1.1 above); after the first SAT,
-     descend by 1 until UNSAT.  If the horizon T_UB is exhausted, rebuild
-     the encoding with a larger horizon.
+     descend by 1 until UNSAT.  The horizon grows with the bound.
    - SWAP count: start from a depth-optimal solution, then iteratively
      *descend* the SWAP bound (monotone solution structure: each SAT
      model's count seeds the next, tighter bound).  Then relax the depth
@@ -14,15 +13,17 @@
      no improvement or the time budget runs out.
 
    All bounds are solver assumptions over selector literals, so learnt
-   clauses survive between iterations (incremental solving). *)
+   clauses survive between iterations (incremental solving).  Each loop
+   is written once, over a bound oracle: the horizon-extension
+   [Session] (extends in place) or the classic [Encoder] (rebuilt with a
+   larger horizon when a bound outgrows it). *)
 
 module Lit = Olsq2_sat.Lit
 module Solver = Olsq2_sat.Solver
 module Stopwatch = Olsq2_util.Stopwatch
 module Obs = Olsq2_obs.Obs
 module Pool = Olsq2_parallel.Pool
-
-(* ---- per-iteration statistics collection ---- *)
+module Session = Olsq2_incremental.Session
 
 type iter_stat = {
   iter_phase : string;
@@ -32,47 +33,20 @@ type iter_stat = {
   iter_stats : Solver.stats;
 }
 
-(* Each domain collects its own iteration records (portfolio arms run
-   concurrently), so collection needs no locks: a per-domain collector is
-   armed by the entry point running in that domain.  Entry points nest
-   (minimize_swaps starts with the depth loop), hence the
-   physical-equality prefix walk in [collecting] instead of a flat
-   reset. *)
-type collector = {
-  mutable active : bool;
+(* ---- per-run state ---- *)
+
+(* One optimization run: its started budget, optional cube-and-conquer
+   pool, clock, solver-call count and the iteration records collected
+   along the way.  A run is driven by exactly one loop, so the collector
+   is plain per-run state passed down to every bound iteration. *)
+type run = {
+  st : Budget.state;
+  pool : Pool.t option;
+  clock : Stopwatch.t;
+  mutable iterations : int;
   mutable iters : iter_stat list; (* newest first *)
-  mutable agg : Solver.stats;
+  agg : Solver.stats;
 }
-
-let collector_key =
-  Domain.DLS.new_key (fun () -> { active = false; iters = []; agg = Solver.stats_zero () })
-
-let collector () = Domain.DLS.get collector_key
-
-(* Run an optimization entry point with iteration collection armed;
-   returns [f]'s result plus the iterations recorded during [f] (oldest
-   first) and their aggregate solver stats.  A nested entry point keeps
-   the outer collection running and still carves out its own slice. *)
-let collecting f =
-  let col = collector () in
-  let was_active = col.active in
-  if not was_active then begin
-    col.iters <- [];
-    col.agg <- Solver.stats_zero ()
-  end;
-  col.active <- true;
-  let iters0 = col.iters in
-  let agg0 = Solver.stats_copy col.agg in
-  Fun.protect
-    ~finally:(fun () -> col.active <- was_active)
-    (fun () ->
-      let r = f () in
-      let rec fresh acc = function
-        | l when l == iters0 -> acc
-        | [] -> acc
-        | x :: tl -> fresh (x :: acc) tl
-      in
-      (r, fresh [] col.iters, Solver.stats_diff ~after:col.agg ~before:agg0))
 
 (* ---- live progress ---- *)
 
@@ -87,8 +61,8 @@ type progress = {
 (* Process-wide progress sink (mirrors the ambient tracer): the CLI
    installs one callback; every bound iteration forwards the solver's
    rate-limited progress events to it, labelled with the phase and bound
-   being attempted.  Atomic because portfolio arms race in separate
-   domains; the callback must be domain-safe. *)
+   being attempted.  Atomic because the serve daemon runs concurrent jobs
+   in separate domains; the callback must be domain-safe. *)
 let progress_sink : ((progress -> unit) option * int) Atomic.t = Atomic.make (None, 2000)
 
 let set_progress_sink ?(interval = 2000) cb = Atomic.set progress_sink (cb, interval)
@@ -101,17 +75,15 @@ let set_progress_sink ?(interval = 2000) cb = Atomic.set progress_sink (cb, inte
    (the failed bound assumptions are recorded on the span so a trace
    shows *which* bounds blocked each refinement step), and its progress
    callback feeds the ambient sink while this iteration runs. *)
-let iter_span name ~bound ?core ?pool solve =
-  let col = collector () in
-  let stats_before =
-    if col.active then Option.map (fun s -> Solver.stats_copy (Solver.stats s)) core else None
-  in
+let iter_span run name ~bound ~core solve =
+  run.iterations <- run.iterations + 1;
+  let stats_before = Solver.stats_copy (Solver.stats core) in
   let t0 = Stopwatch.now () in
   let solve =
-    match (core, Atomic.get progress_sink) with
-    | Some solver, (Some sink, interval) ->
+    match Atomic.get progress_sink with
+    | Some sink, interval ->
       fun () ->
-        Solver.set_progress ~interval solver
+        Solver.set_progress ~interval core
           (Some
              (fun s ->
                let st = Solver.stats s in
@@ -124,14 +96,13 @@ let iter_span name ~bound ?core ?pool solve =
                    prog_propagations = st.Solver.propagations;
                  }));
         (* cube workers heartbeat through the pool with aggregated
-           counters on top of the master's; the sink must be domain-safe
-           (it already is: portfolio arms call it concurrently) *)
-        (match pool with
+           counters on top of the master's *)
+        (match run.pool with
         | Some p ->
           Pool.set_progress ~interval p
             (Some
                (fun (pg : Pool.progress) ->
-                 let st = Solver.stats solver in
+                 let st = Solver.stats core in
                  sink
                    {
                      prog_phase = name;
@@ -143,30 +114,23 @@ let iter_span name ~bound ?core ?pool solve =
         | None -> ());
         Fun.protect
           ~finally:(fun () ->
-            Solver.set_progress solver None;
-            match pool with Some p -> Pool.set_progress p None | None -> ())
+            Solver.set_progress core None;
+            match run.pool with Some p -> Pool.set_progress p None | None -> ())
           solve
-    | _ -> solve
+    | None, _ -> solve
   in
   let record r =
-    match stats_before with
-    | None -> ()
-    | Some before ->
-      let delta =
-        match core with
-        | Some s -> Solver.stats_diff ~after:(Solver.stats s) ~before
-        | None -> Solver.stats_zero ()
-      in
-      Solver.stats_add ~into:col.agg delta;
-      col.iters <-
-        {
-          iter_phase = name;
-          iter_bound = bound;
-          iter_verdict = Solver.result_to_string r;
-          iter_seconds = Stopwatch.now () -. t0;
-          iter_stats = delta;
-        }
-        :: col.iters
+    let delta = Solver.stats_diff ~after:(Solver.stats core) ~before:stats_before in
+    Solver.stats_add ~into:run.agg delta;
+    run.iters <-
+      {
+        iter_phase = name;
+        iter_bound = bound;
+        iter_verdict = Solver.result_to_string r;
+        iter_seconds = Stopwatch.now () -. t0;
+        iter_stats = delta;
+      }
+      :: run.iters
   in
   let obs = Obs.global () in
   if not (Obs.enabled obs) then begin
@@ -179,15 +143,16 @@ let iter_span name ~bound ?core ?pool solve =
     let r = solve () in
     let attrs = [ ("verdict", Obs.Str (Solver.result_to_string r)) ] in
     let attrs =
-      match (r, core) with
-      | Solver.Unsat, Some solver ->
-        let core = Solver.unsat_core solver in
-        ("core_size", Obs.Int (List.length core))
+      match r with
+      | Solver.Unsat ->
+        let unsat_core = Solver.unsat_core core in
+        ("core_size", Obs.Int (List.length unsat_core))
         :: ( "unsat_core",
              Obs.Str
-               (String.concat " " (List.map (fun l -> string_of_int (Lit.to_dimacs l)) core)) )
+               (String.concat " "
+                  (List.map (fun l -> string_of_int (Lit.to_dimacs l)) unsat_core)) )
         :: attrs
-      | _ -> attrs
+      | Solver.Sat | Solver.Unknown _ -> attrs
     in
     Obs.end_span obs sp ~attrs;
     record r;
@@ -209,15 +174,15 @@ type outcome = {
   iter_stats : iter_stat list; (* per bound iteration, oldest first *)
 }
 
-let empty_outcome ~iterations ~seconds =
+let outcome (run : run) ?result ~optimal pareto =
   {
-    result = None;
-    optimal = false;
-    iterations;
-    total_seconds = seconds;
-    pareto = [];
-    stats = Solver.stats_zero ();
-    iter_stats = [];
+    result;
+    optimal;
+    iterations = run.iterations;
+    total_seconds = Stopwatch.elapsed run.clock;
+    pareto;
+    stats = run.agg;
+    iter_stats = List.rev run.iters;
   }
 
 (* Next depth bound after UNSAT (paper §III-B-1). *)
@@ -225,151 +190,223 @@ let grow_bound t_b =
   let r = if t_b < 100 then 1.3 else 1.1 in
   max (t_b + 1) (int_of_float (ceil (r *. float_of_int t_b)))
 
-(* Budget-accounted solve calls: derive each call's [?timeout] /
-   [?max_conflicts] from the shared {!Budget.state} and charge back what
+(* Refinement limits: SWAP sweeps relax the depth at most 4 times; TB
+   tries at most 16 blocks and relaxes the block count at most twice. *)
+let max_depth_relax = 4
+let max_blocks = 16
+let max_block_relax = 2
+
+(* Budget-accounted solve call: derive the call's [?timeout] /
+   [?max_conflicts] from the run's {!Budget.state} and charge back what
    the call actually cost (read off the master's stats, which the pool
    merges replica effort into), so wall and conflict caps behave
-   identically on the sequential, portfolio and cube paths.  A pool, when
-   given and the encoding is pool-capable (plain CNF, no CEGAR loop),
-   stands in for the sequential solver call. *)
-let esolve ?pool ~st ~assumptions enc =
-  let solver = Encoder.solver enc in
-  Budget.attach st solver;
+   identically on the sequential and cube paths.  The run's pool, when
+   the encoding is pool-capable (plain CNF, no CEGAR loop), stands in for
+   [direct]; [extra] are the assumptions a raw solver call needs on top
+   of the bound's. *)
+let charged_solve run solver ~pool_capable ?(extra = []) direct assumptions =
+  Budget.attach run.st solver;
   let before = (Solver.stats solver).Solver.conflicts in
-  let timeout = Budget.solve_timeout st in
-  let max_conflicts = Budget.solve_max_conflicts st in
+  let timeout = Budget.solve_timeout run.st in
+  let max_conflicts = Budget.solve_max_conflicts run.st in
   let r =
-    match pool with
-    | Some p when Encoder.pool_capable enc -> Pool.solve p ~assumptions ?max_conflicts ?timeout solver
-    | Some _ | None -> Encoder.solve ~assumptions ?max_conflicts ?timeout enc
+    match run.pool with
+    | Some p when pool_capable ->
+      Pool.solve p ~assumptions:(extra @ assumptions) ?max_conflicts ?timeout solver
+    | Some _ | None -> direct ~assumptions ~max_conflicts ~timeout
   in
-  Budget.charge st ~conflicts:((Solver.stats solver).Solver.conflicts - before);
+  Budget.charge run.st ~conflicts:((Solver.stats solver).Solver.conflicts - before);
   r
 
-let tbsolve ?pool ~st ~assumptions enc =
-  let solver = Tb_encoder.solver enc in
-  Budget.attach st solver;
-  let before = (Solver.stats solver).Solver.conflicts in
-  let timeout = Budget.solve_timeout st in
-  let max_conflicts = Budget.solve_max_conflicts st in
-  let r =
-    match pool with
-    | Some p when Tb_encoder.pool_capable enc ->
-      Pool.solve p ~assumptions ?max_conflicts ?timeout solver
-    | Some _ | None -> Tb_encoder.solve ~assumptions ?max_conflicts ?timeout enc
+(* ---- bound oracles ---- *)
+
+(* What the refinement loops need from an encoding of the full
+   (gate-time-resolved) model.  [ensure_horizon d] makes depth bound [d]
+   fully expressive, so an UNSAT verdict at [d] is final.  SWAPs may
+   finish up to step [t_max - 2], and a SWAP finishing at [d - 1] only
+   changes the mapping after the last gate step, so no optimal layout
+   needs one: [t_max >= d] suffices.  The session grows in place and
+   cheaply, keeping one step of slack ([t_max >= d + 1]) and ascending
+   geometrically.  The encoder re-encodes from scratch to grow, so it
+   grows only when needed and its [next_bound] first tries the largest
+   bound the current horizon expresses.  Either way every UNSAT already
+   proven stays valid after growth, so the ascent just continues. *)
+type oracle = {
+  solver : unit -> Solver.t; (* the current solver (rebuilds replace it) *)
+  solve : Lit.t list -> Solver.result; (* budget-charged, pool-aware *)
+  ensure_horizon : int -> unit;
+  next_bound : int -> int; (* ascent step after UNSAT at [d] *)
+  depth_selector : int -> Lit.t;
+  build_counter : max_bound:int -> unit;
+  build_weighted_counter : weights:(int -> int) -> max_bound:int -> unit;
+  swap_bound_assumption : int -> Lit.t option;
+  model_swap_count : unit -> int;
+  model_weighted_cost : weights:(int -> int) -> int;
+  extract : status:Result_.status -> solve_seconds:float -> iterations:int -> Result_.t;
+}
+
+(* One persistent session: horizon growth emits only the delta CNF, so
+   learnt clauses survive it.  The session encoding is plain CNF, hence
+   always pool-capable; a raw pool solve must carry the horizon's
+   activation literal. *)
+let session_oracle run ~config instance ~t_max =
+  let sess =
+    Session.create ~symmetry:config.Config.symmetry ~t_max
+      ~swap_duration:instance.Instance.swap_duration instance.Instance.circuit
+      instance.Instance.device
   in
-  Budget.charge st ~conflicts:((Solver.stats solver).Solver.conflicts - before);
-  r
-
-(* ---- depth optimization ---- *)
-
-(* Returns the outcome and, on success, the encoder together with the
-   achieved depth bound, so SWAP optimization can continue on the same
-   incremental solver state. *)
-let minimize_depth_with_encoder_body ~config ?pool ~st instance =
-  let clock = Stopwatch.start () in
-  let iterations = ref 0 in
-  let t_lb = Instance.depth_lower_bound instance in
-  let fail () = (empty_outcome ~iterations:!iterations ~seconds:(Stopwatch.elapsed clock), None) in
-  let rec with_horizon t_max =
-    let enc = Encoder.build ~config instance ~t_max in
-    let check d =
-      incr iterations;
-      let sel = Encoder.depth_selector enc d in
-      iter_span "opt.depth_iter" ~bound:d ~core:(Encoder.solver enc) ?pool (fun () ->
-          esolve ?pool ~st ~assumptions:[ sel ] enc)
-    in
-    (* ascent: grow the bound until SAT *)
-    let rec ascend d =
-      if Budget.exhausted st then `Budget
-      else
-        match check d with
-        | Solver.Sat -> `Sat d
-        | Solver.Unknown _ -> `Budget
-        | Solver.Unsat -> if d >= t_max then `Horizon else ascend (min t_max (grow_bound d))
-    in
-    (* descent: tighten by 1 until UNSAT; [d] is known SAT *)
-    let rec descend d =
-      if d - 1 < t_lb then (d, true)
-      else if Budget.exhausted st then (d, false)
-      else
-        match check (d - 1) with
-        | Solver.Sat -> descend (d - 1)
-        | Solver.Unsat -> (d, true)
-        | Solver.Unknown _ -> (d, false)
-    in
-    match ascend t_lb with
-    | `Budget -> fail ()
-    | `Horizon -> with_horizon (grow_bound t_max)
-    | `Sat d_first -> (
-      let d, optimal = descend d_first in
-      (* re-solve at the chosen bound so the solver holds its model *)
-      match check d with
-      | Solver.Sat ->
-        let status = if optimal then Result_.Optimal else Result_.Feasible in
-        let result =
-          Encoder.extract ~status ~solve_seconds:(Stopwatch.elapsed clock) ~iterations:!iterations
-            enc
-        in
-        pareto_point ~depth:d ~swaps:result.Result_.swap_count;
-        ( {
-            result = Some result;
-            optimal;
-            iterations = !iterations;
-            total_seconds = Stopwatch.elapsed clock;
-            pareto = [ (d, result.Result_.swap_count) ];
-            stats = Solver.stats_zero ();
-            iter_stats = [];
-          },
-          Some (enc, d) )
-      | Solver.Unsat | Solver.Unknown _ ->
-        (* unreachable in practice: the same bound was SAT moments ago *)
-        fail ())
+  let extract ~status ~solve_seconds ~iterations =
+    let m = Session.model sess in
+    {
+      Result_.status;
+      depth = m.Session.m_depth;
+      swap_count = List.length m.Session.m_swaps;
+      mapping = m.Session.m_mapping;
+      schedule = m.Session.m_schedule;
+      swaps =
+        List.map (fun (e, tf) -> { Result_.sw_edge = e; sw_finish = tf }) m.Session.m_swaps;
+      solve_seconds;
+      iterations;
+    }
   in
-  with_horizon (Instance.depth_upper_bound instance)
+  {
+    solver = (fun () -> Session.solver sess);
+    solve =
+      (fun assumptions ->
+        charged_solve run (Session.solver sess) ~pool_capable:true
+          ~extra:[ Session.horizon_assumption sess ]
+          (fun ~assumptions ~max_conflicts ~timeout ->
+            Session.solve ~assumptions ?max_conflicts ?timeout sess)
+          assumptions);
+    ensure_horizon =
+      (fun d ->
+        let t_max = Session.t_max sess in
+        if d + 1 > t_max then
+          Session.extend_horizon sess ~t_max:(max (d + 1) (grow_bound t_max)));
+    next_bound = grow_bound;
+    depth_selector = Session.depth_selector sess;
+    build_counter = Session.build_counter sess;
+    build_weighted_counter = Session.build_weighted_counter sess;
+    swap_bound_assumption = Session.swap_bound_assumption sess;
+    model_swap_count = (fun () -> Session.model_swap_count sess);
+    model_weighted_cost = Session.model_weighted_cost sess;
+    extract;
+  }
 
-let minimize_depth_with_encoder_st ~config ?pool ~st instance =
-  let (o, enc), iters, agg =
-    collecting (fun () -> minimize_depth_with_encoder_body ~config ?pool ~st instance)
-  in
-  ({ o with stats = agg; iter_stats = iters }, enc)
+(* The classic encoder honours every [config] arm (formulation, variable
+   encoding, injectivity, cardinality, simplification); outgrowing its
+   horizon means re-encoding from scratch. *)
+let encoder_oracle run ~config instance ~t_max =
+  let enc = ref (Encoder.build ~config instance ~t_max) in
+  {
+    solver = (fun () -> Encoder.solver !enc);
+    solve =
+      (fun assumptions ->
+        let e = !enc in
+        charged_solve run (Encoder.solver e) ~pool_capable:(Encoder.pool_capable e)
+          (fun ~assumptions ~max_conflicts ~timeout ->
+            Encoder.solve ~assumptions ?max_conflicts ?timeout e)
+          assumptions);
+    ensure_horizon =
+      (fun d ->
+        let t_max = (!enc).Encoder.t_max in
+        if d > t_max then enc := Encoder.build ~config instance ~t_max:(max d (grow_bound t_max)));
+    next_bound =
+      (fun d ->
+        let t_max = (!enc).Encoder.t_max in
+        if d < t_max then min t_max (grow_bound d) else grow_bound d);
+    depth_selector = (fun d -> Encoder.depth_selector !enc d);
+    build_counter = (fun ~max_bound -> Encoder.build_counter !enc ~max_bound);
+    build_weighted_counter =
+      (fun ~weights ~max_bound -> Encoder.build_weighted_counter !enc ~weights ~max_bound);
+    swap_bound_assumption = (fun k -> Encoder.swap_bound_assumption !enc k);
+    model_swap_count = (fun () -> Encoder.model_swap_count !enc);
+    model_weighted_cost = (fun ~weights -> Encoder.model_weighted_cost !enc ~weights);
+    extract =
+      (fun ~status ~solve_seconds ~iterations ->
+        Encoder.extract ~status ~solve_seconds ~iterations !enc);
+  }
 
-let minimize_depth_with_encoder ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    instance =
-  minimize_depth_with_encoder_st ~config ?pool ~st:(Budget.start budget) instance
+(* The oracle's current model as a result. *)
+let capture run o optimal =
+  let status = if optimal then Result_.Optimal else Result_.Feasible in
+  o.extract ~status ~solve_seconds:(Stopwatch.elapsed run.clock) ~iterations:run.iterations
 
-let minimize_depth ?config ?budget ?pool instance =
-  fst (minimize_depth_with_encoder ?config ?budget ?pool instance)
+(* ---- bound descent (shared by SWAP, weighted and TB loops) ---- *)
 
-(* ---- SWAP optimization (iterative refinement, §III-B-2) ---- *)
-
-(* Descend the SWAP bound under the depth selector for [depth].  [start]
-   is the count of the model currently in the solver.  On return the
-   solver's model is the best one found.  Returns (best count, proven
-   optimal at this depth). *)
-let descend_swaps enc ~depth ~start ?pool ~st iterations =
-  Encoder.build_counter enc ~max_bound:(max start 1);
+(* Descend an objective bound from [start], the value of the model the
+   solver currently holds: each step assumes [assume (best - 1)] and, on
+   SAT, reads the new model's value back (monotone solution structure:
+   each model seeds the next, tighter bound).  [assume] returns [None]
+   when the bound cannot be expressed, which proves [best] optimal.  On
+   return the solver's model is the best one found.  Returns (best value,
+   proven optimal). *)
+let descend run ~phase ~solver ~solve ~assume ~value start =
   let rec go best =
     if best = 0 then (best, true)
-    else if Budget.exhausted st then (best, false)
-    else begin
-      incr iterations;
-      let sel = Encoder.depth_selector enc depth in
-      let assumptions =
-        match Encoder.swap_bound_assumption enc (best - 1) with
-        | Some a -> [ sel; a ]
-        | None -> [ sel ]
-      in
-      match
-        iter_span "opt.swap_iter" ~bound:(best - 1) ~core:(Encoder.solver enc) ?pool (fun () ->
-            esolve ?pool ~st ~assumptions enc)
-      with
-      | Solver.Sat -> go (Encoder.model_swap_count enc)
-      | Solver.Unsat -> (best, true)
-      | Solver.Unknown _ -> (best, false)
-    end
+    else if Budget.exhausted run.st then (best, false)
+    else
+      match assume (best - 1) with
+      | None -> (best, true)
+      | Some assumptions -> (
+        match
+          iter_span run phase ~bound:(best - 1) ~core:(solver ()) (fun () -> solve assumptions)
+        with
+        | Solver.Sat -> go (value ())
+        | Solver.Unsat -> (best, true)
+        | Solver.Unknown _ -> (best, false))
   in
   go start
+
+(* Bound assumptions at depth selector [sel]: the objective bound when
+   expressible, else the depth bound alone. *)
+let under_depth o sel k = Some (sel :: Option.to_list (o.swap_bound_assumption k))
+
+(* ---- depth optimization (§III-B-1) ---- *)
+
+(* Returns, on success, the optimal (or best-within-budget) depth, whether
+   it is proven, and the result; the oracle's solver then holds that
+   model, so SWAP optimization continues on the same solver state. *)
+let minimize_depth run o ~t_lb =
+  let check d =
+    o.ensure_horizon d;
+    let sel = o.depth_selector d in
+    iter_span run "opt.depth_iter" ~bound:d ~core:(o.solver ()) (fun () -> o.solve [ sel ])
+  in
+  (* ascent: grow the bound until SAT *)
+  let rec ascend d =
+    if Budget.exhausted run.st then None
+    else
+      match check d with
+      | Solver.Sat -> Some d
+      | Solver.Unknown _ -> None
+      | Solver.Unsat -> ascend (o.next_bound d)
+  in
+  (* descent: tighten by 1 until UNSAT; [d] is known SAT *)
+  let rec descend_depth d =
+    if d - 1 < t_lb then (d, true)
+    else if Budget.exhausted run.st then (d, false)
+    else
+      match check (d - 1) with
+      | Solver.Sat -> descend_depth (d - 1)
+      | Solver.Unsat -> (d, true)
+      | Solver.Unknown _ -> (d, false)
+  in
+  match ascend t_lb with
+  | None -> None
+  | Some d_first -> (
+    let d, optimal = descend_depth d_first in
+    (* re-solve at the chosen bound so the solver holds its model *)
+    match check d with
+    | Solver.Sat ->
+      let result = capture run o optimal in
+      pareto_point ~depth:d ~swaps:result.Result_.swap_count;
+      Some (d, optimal, result)
+    | Solver.Unsat | Solver.Unknown _ ->
+      (* unreachable in practice: the same bound was SAT moments ago *)
+      None)
+
+(* ---- SWAP optimization (iterative refinement, §III-B-2) ---- *)
 
 (* Seeding of a depth level's descent:
    [Fresh]       no bound (the very first depth, no warm start);
@@ -380,611 +417,212 @@ let descend_swaps enc ~depth ~start ?pool ~st iterations =
                  (paper termination condition 2). *)
 type seed = Fresh | Warm of int | Tightened of int
 
-let minimize_swaps_body ~config ?pool ~st ~max_depth_relax ?warm_start instance =
-  let clock = Stopwatch.start () in
-  let depth_outcome, enc_opt = minimize_depth_with_encoder_st ~config ?pool ~st instance in
-  match (depth_outcome.result, enc_opt) with
-  | None, _ | _, None -> depth_outcome
-  | Some _, Some (enc0, d0) ->
-    let iterations = ref depth_outcome.iterations in
+let minimize_swaps run o ~t_lb ~warm_start =
+  match minimize_depth run o ~t_lb with
+  | None -> outcome run ~optimal:false []
+  | Some (d0, _, depth_result) ->
     let pareto = ref [] in
     let best = ref None in
-    let best_optimal = ref false in
-    let capture enc optimal =
-      let status = if optimal then Result_.Optimal else Result_.Feasible in
-      Encoder.extract ~status ~solve_seconds:(Stopwatch.elapsed clock) ~iterations:!iterations enc
-    in
     (* Sweep depth bounds d0, d0+1, ...; at each, descend the SWAP count. *)
-    let rec sweep enc d seed relax_left =
-      incr iterations;
-      let sel = Encoder.depth_selector enc d in
-      let bound_assumption b =
-        Encoder.build_counter enc ~max_bound:(max b 1);
-        match Encoder.swap_bound_assumption enc (max 0 (b - 1)) with
-        | Some a -> [ sel; a ]
-        | None -> [ sel ]
-      in
+    let rec sweep d seed relax_left =
+      o.ensure_horizon (d + 1);
+      let sel = o.depth_selector d in
       let assumptions =
         match seed with
         | Fresh -> [ sel ]
-        | Warm w | Tightened w -> bound_assumption w
+        | Warm w | Tightened w ->
+          o.build_counter ~max_bound:(max w 1);
+          sel :: Option.to_list (o.swap_bound_assumption (max 0 (w - 1)))
       in
-      let prev = match seed with Fresh | Warm _ -> None | Tightened b -> Some b in
       match
-        iter_span "opt.sweep_level" ~bound:d ~core:(Encoder.solver enc) ?pool (fun () ->
-            esolve ?pool ~st ~assumptions enc)
+        iter_span run "opt.sweep_level" ~bound:d ~core:(o.solver ()) (fun () ->
+            o.solve assumptions)
       with
       | Solver.Unsat when (match seed with Warm _ -> true | Fresh | Tightened _ -> false) ->
         (* heuristic bound too tight for the optimal depth: restart the
            level without it *)
-        sweep enc d Fresh relax_left
+        sweep d Fresh relax_left
       | Solver.Unsat | Solver.Unknown _ ->
         (* no improvement at the relaxed depth (paper termination cond. 2),
            or out of budget *)
         ()
       | Solver.Sat ->
-        let start = Encoder.model_swap_count enc in
-        let count, optimal = descend_swaps enc ~depth:d ~start ?pool ~st iterations in
+        let start = o.model_swap_count () in
+        o.build_counter ~max_bound:(max start 1);
+        let count, optimal =
+          descend run ~phase:"opt.swap_iter" ~solver:o.solver ~solve:o.solve
+            ~assume:(under_depth o sel) ~value:o.model_swap_count start
+        in
         pareto_point ~depth:d ~swaps:count;
         pareto := (d, count) :: !pareto;
-        let improves = match prev with None -> true | Some b -> count < b in
-        if improves then begin
-          best := Some (capture enc optimal);
-          best_optimal := optimal
-        end;
-        if count > 0 && relax_left > 0 && not (Budget.exhausted st) then begin
-          let d' = d + 1 in
-          let enc' =
-            if d' + 1 <= enc.Encoder.t_max then enc
-            else Encoder.build ~config instance ~t_max:(d' + 2)
-          in
-          sweep enc' d' (Tightened count) (relax_left - 1)
-        end
+        let improves = match seed with Tightened b -> count < b | Fresh | Warm _ -> true in
+        if improves then best := Some (capture run o optimal, optimal);
+        if count > 0 && relax_left > 0 && not (Budget.exhausted run.st) then
+          sweep (d + 1) (Tightened count) (relax_left - 1)
     in
     let initial_seed = match warm_start with Some w when w >= 0 -> Warm w | Some _ | None -> Fresh in
-    sweep enc0 d0 initial_seed max_depth_relax;
-    let result =
-      match !best with
-      | Some r -> Some r
-      | None -> depth_outcome.result (* fall back to the depth-optimal model *)
-    in
-    {
-      result;
-      optimal = !best_optimal;
-      iterations = !iterations;
-      total_seconds = Stopwatch.elapsed clock;
-      pareto = List.rev !pareto;
-      stats = Solver.stats_zero ();
-      iter_stats = [];
-    }
-
-let minimize_swaps ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    ?(max_depth_relax = 4) ?warm_start instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () -> minimize_swaps_body ~config ?pool ~st ~max_depth_relax ?warm_start instance)
-  in
-  { o with stats = agg; iter_stats = iters }
+    sweep d0 initial_seed max_depth_relax;
+    let pareto = List.rev !pareto in
+    (match !best with
+    | Some (result, optimal) -> outcome run ~result ~optimal pareto
+    (* fall back to the depth-optimal model *)
+    | None -> outcome run ~result:depth_result ~optimal:false pareto)
 
 (* ---- fidelity-aware SWAP optimization ---- *)
 
 (* Minimize the *weighted* SWAP cost at the optimal depth: [weights e] is
    the integer cost of a SWAP on edge [e] (e.g. scaled -log fidelity), so
    the synthesizer prefers routing through high-fidelity couplers.  Same
-   iterative descent as [minimize_swaps], over the weighted counter. *)
-let minimize_weighted_swaps_body ~config ?pool ~st ~weights instance =
-  let clock = Stopwatch.start () in
-  let depth_outcome, enc_opt = minimize_depth_with_encoder_st ~config ?pool ~st instance in
-  match (depth_outcome.result, enc_opt) with
-  | None, _ | _, None -> depth_outcome
-  | Some _, Some (enc, d) ->
-    let iterations = ref depth_outcome.iterations in
-    let sel = Encoder.depth_selector enc d in
-    let start = Encoder.model_weighted_cost enc ~weights in
-    Encoder.build_weighted_counter enc ~weights ~max_bound:(max start 1);
-    let rec descend best =
-      if best = 0 then (best, true)
-      else if Budget.exhausted st then (best, false)
-      else begin
-        incr iterations;
-        let assumptions =
-          match Encoder.swap_bound_assumption enc (best - 1) with
-          | Some a -> [ sel; a ]
-          | None -> [ sel ]
-        in
-        match
-          iter_span "opt.weighted_iter" ~bound:(best - 1) ~core:(Encoder.solver enc) ?pool
-            (fun () -> esolve ?pool ~st ~assumptions enc)
-        with
-        | Solver.Sat -> descend (Encoder.model_weighted_cost enc ~weights)
-        | Solver.Unsat -> (best, true)
-        | Solver.Unknown _ -> (best, false)
-      end
+   bound descent as the SWAP sweep, over the weighted counter. *)
+let minimize_weighted_swaps run o ~t_lb ~weights =
+  match minimize_depth run o ~t_lb with
+  | None -> outcome run ~optimal:false []
+  | Some (d, _, _) ->
+    let sel = o.depth_selector d in
+    let start = o.model_weighted_cost ~weights in
+    o.build_weighted_counter ~weights ~max_bound:(max start 1);
+    let cost, optimal =
+      descend run ~phase:"opt.weighted_iter" ~solver:o.solver ~solve:o.solve
+        ~assume:(under_depth o sel)
+        ~value:(fun () -> o.model_weighted_cost ~weights)
+        start
     in
-    let cost, optimal = descend start in
     pareto_point ~depth:d ~swaps:cost;
     (* the winning model is still in the solver *)
-    let status = if optimal then Result_.Optimal else Result_.Feasible in
-    let result =
-      Encoder.extract ~status ~solve_seconds:(Stopwatch.elapsed clock) ~iterations:!iterations enc
-    in
-    {
-      result = Some result;
-      optimal;
-      iterations = !iterations;
-      total_seconds = Stopwatch.elapsed clock;
-      pareto = [ (d, cost) ];
-      stats = Solver.stats_zero ();
-      iter_stats = [];
-    }
-
-let minimize_weighted_swaps ?(config = Config.default) ?(budget = Budget.unlimited) ?pool ~weights
-    instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () -> minimize_weighted_swaps_body ~config ?pool ~st ~weights instance)
-  in
-  { o with stats = agg; iter_stats = iters }
+    outcome run ~result:(capture run o optimal) ~optimal [ (d, cost) ]
 
 (* ---- transition-based optimization (TB-OLSQ2, §III-D) ---- *)
 
-type tb_outcome = {
-  tb_result : Tb_encoder.result option;
-  tb_optimal : bool;
-  tb_iterations : int;
-  tb_seconds : float;
-  tb_stats : Solver.stats; (* aggregate over all block/SWAP iterations *)
-  tb_iter_stats : iter_stat list; (* per bound iteration, oldest first *)
-}
+(* TB rebuilds its encoding per block count by construction; each
+   encoder still goes through the shared solve and descent helpers. *)
+let tb_solve run enc assumptions =
+  charged_solve run (Tb_encoder.solver enc) ~pool_capable:(Tb_encoder.pool_capable enc)
+    (fun ~assumptions ~max_conflicts ~timeout ->
+      Tb_encoder.solve ~assumptions ?max_conflicts ?timeout enc)
+    assumptions
 
-(* Block-count minimization: the bound starts at 1 and increases by 1 on
-   UNSAT (paper §III-D). *)
-let tb_minimize_blocks_body ~config ?pool ~st ~max_blocks instance =
-  let clock = Stopwatch.start () in
-  let iterations = ref 0 in
-  let done_ result optimal =
-    {
-      tb_result = result;
-      tb_optimal = optimal;
-      tb_iterations = !iterations;
-      tb_seconds = Stopwatch.elapsed clock;
-      tb_stats = Solver.stats_zero ();
-      tb_iter_stats = [];
-    }
-  in
-  let rec try_blocks b =
-    if b > max_blocks || Budget.exhausted st then done_ None false
-    else begin
-      let enc = Tb_encoder.build ~config instance ~num_blocks:b in
-      incr iterations;
-      match
-        iter_span "opt.tb_iter" ~bound:b ~core:(Tb_encoder.solver enc) ?pool (fun () ->
-            tbsolve ?pool ~st ~assumptions:[] enc)
-      with
-      | Solver.Sat ->
-        let r =
-          Tb_encoder.extract ~status:Result_.Optimal ~solve_seconds:(Stopwatch.elapsed clock)
-            ~iterations:!iterations enc
-        in
-        pareto_point ~depth:r.Tb_encoder.blocks ~swaps:r.Tb_encoder.swap_count;
-        done_ (Some r) true
-      | Solver.Unsat -> try_blocks (b + 1)
-      | Solver.Unknown _ -> done_ None false
-    end
-  in
-  try_blocks 1
+(* Block-count minimization: the bound starts at [b] and increases by 1
+   on UNSAT (paper §III-D).  Returns the first SAT encoder. *)
+let rec tb_first_sat run ~config instance b =
+  if b > max_blocks || Budget.exhausted run.st then None
+  else begin
+    let enc = Tb_encoder.build ~config instance ~num_blocks:b in
+    match
+      iter_span run "opt.tb_iter" ~bound:b ~core:(Tb_encoder.solver enc) (fun () ->
+          tb_solve run enc [])
+    with
+    | Solver.Sat -> Some (enc, b)
+    | Solver.Unsat -> tb_first_sat run ~config instance (b + 1)
+    | Solver.Unknown _ -> None
+  end
 
-let tb_minimize_blocks ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    ?(max_blocks = 16) instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () -> tb_minimize_blocks_body ~config ?pool ~st ~max_blocks instance)
+let tb_extract run enc optimal =
+  let status = if optimal then Result_.Optimal else Result_.Feasible in
+  let r =
+    Tb_encoder.extract ~status ~solve_seconds:(Stopwatch.elapsed run.clock)
+      ~iterations:run.iterations enc
   in
-  { o with tb_stats = agg; tb_iter_stats = iters }
+  pareto_point ~depth:r.Tb_encoder.blocks ~swaps:r.Tb_encoder.swap_count;
+  r
+
+(* TB outcomes carry the block model as the expanded schedule plus a
+   (blocks, swap_count) pareto entry. *)
+let tb_outcome run = function
+  | None -> outcome run ~optimal:false []
+  | Some (r, optimal) ->
+    outcome run ~result:r.Tb_encoder.expanded ~optimal
+      [ (r.Tb_encoder.blocks, r.Tb_encoder.swap_count) ]
+
+let minimize_tb_blocks run ~config instance =
+  tb_first_sat run ~config instance 1
+  |> Option.map (fun (enc, _) -> (tb_extract run enc true, true))
+  |> tb_outcome run
 
 (* Descend the SWAP bound on a TB encoder holding a model. *)
-let tb_descend enc ?pool ~st iterations =
+let tb_descend run enc =
   let start = Tb_encoder.model_swap_count enc in
   Tb_encoder.build_counter enc ~max_bound:(max start 1);
-  let rec go best =
-    if best = 0 then (best, true)
-    else if Budget.exhausted st then (best, false)
-    else begin
-      incr iterations;
-      match Tb_encoder.swap_bound_assumption enc (best - 1) with
-      | None -> (best, true)
-      | Some a -> (
-        match
-          iter_span "opt.swap_iter" ~bound:(best - 1) ~core:(Tb_encoder.solver enc) ?pool
-            (fun () -> tbsolve ?pool ~st ~assumptions:[ a ] enc)
-        with
-        | Solver.Sat -> go (Tb_encoder.model_swap_count enc)
-        | Solver.Unsat -> (best, true)
-        | Solver.Unknown _ -> (best, false))
-    end
-  in
-  go start
+  descend run ~phase:"opt.swap_iter"
+    ~solver:(fun () -> Tb_encoder.solver enc)
+    ~solve:(tb_solve run enc)
+    ~assume:(fun k -> Option.map (fun a -> [ a ]) (Tb_encoder.swap_bound_assumption enc k))
+    ~value:(fun () -> Tb_encoder.model_swap_count enc)
+    start
 
 (* SWAP minimization on the transition-based model: minimal block count
    first, then SWAP descent; relax the block count while it reduces the
    SWAP count further. *)
-let tb_minimize_swaps_body ~config ?pool ~st ~max_blocks ~max_block_relax instance =
-  let clock = Stopwatch.start () in
-  let iterations = ref 0 in
+let minimize_tb_swaps run ~config instance =
   let best = ref None in
-  let best_optimal = ref false in
   let record enc optimal =
-    let status = if optimal then Result_.Optimal else Result_.Feasible in
-    let r =
-      Tb_encoder.extract ~status ~solve_seconds:(Stopwatch.elapsed clock) ~iterations:!iterations
-        enc
-    in
-    pareto_point ~depth:r.Tb_encoder.blocks ~swaps:r.Tb_encoder.swap_count;
-    let keep =
-      match !best with
-      | None -> true
-      | Some b -> r.Tb_encoder.swap_count < b.Tb_encoder.swap_count
-    in
-    if keep then begin
-      best := Some r;
-      best_optimal := optimal
-    end;
+    let r = tb_extract run enc optimal in
+    (match !best with
+    | Some (b, _) when r.Tb_encoder.swap_count >= b.Tb_encoder.swap_count -> ()
+    | Some _ | None -> best := Some (r, optimal));
     r.Tb_encoder.swap_count
   in
-  (* find the minimal SAT block count *)
-  let rec first_sat b =
-    if b > max_blocks || Budget.exhausted st then None
-    else begin
-      let enc = Tb_encoder.build ~config instance ~num_blocks:b in
-      incr iterations;
-      match
-        iter_span "opt.tb_iter" ~bound:b ~core:(Tb_encoder.solver enc) ?pool (fun () ->
-            tbsolve ?pool ~st ~assumptions:[] enc)
-      with
-      | Solver.Sat -> Some (enc, b)
-      | Solver.Unsat -> first_sat (b + 1)
-      | Solver.Unknown _ -> None
-    end
-  in
-  (match first_sat 1 with
+  (match tb_first_sat run ~config instance 1 with
   | None -> ()
   | Some (enc, b0) ->
-    let count, optimal = tb_descend enc ?pool ~st iterations in
-    let count = record enc optimal |> min count in
-    (* relax the block count while it still reduces SWAPs *)
+    let count, optimal = tb_descend run enc in
+    let count = min count (record enc optimal) in
     let rec relax b prev relax_left =
-      if prev = 0 || relax_left = 0 || b + 1 > max_blocks || Budget.exhausted st then ()
+      if prev = 0 || relax_left = 0 || b + 1 > max_blocks || Budget.exhausted run.st then ()
       else begin
         let enc' = Tb_encoder.build ~config instance ~num_blocks:(b + 1) in
         Tb_encoder.build_counter enc' ~max_bound:(max prev 1);
-        incr iterations;
         match Tb_encoder.swap_bound_assumption enc' (prev - 1) with
         | None -> ()
         | Some a -> (
           match
-            iter_span "opt.tb_relax" ~bound:(b + 1) ~core:(Tb_encoder.solver enc') ?pool
-              (fun () -> tbsolve ?pool ~st ~assumptions:[ a ] enc')
+            iter_span run "opt.tb_relax" ~bound:(b + 1) ~core:(Tb_encoder.solver enc')
+              (fun () -> tb_solve run enc' [ a ])
           with
           | Solver.Unsat | Solver.Unknown _ -> () (* no improvement: stop *)
           | Solver.Sat ->
-            let c, opt = tb_descend enc' ?pool ~st iterations in
-            let c = record enc' opt |> min c in
+            let c, opt = tb_descend run enc' in
+            let c = min c (record enc' opt) in
             relax (b + 1) c (relax_left - 1))
       end
     in
     relax b0 count max_block_relax);
-  {
-    tb_result = !best;
-    tb_optimal = !best_optimal;
-    tb_iterations = !iterations;
-    tb_seconds = Stopwatch.elapsed clock;
-    tb_stats = Solver.stats_zero ();
-    tb_iter_stats = [];
-  }
+  tb_outcome run !best
 
-let tb_minimize_swaps ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    ?(max_blocks = 16) ?(max_block_relax = 2) instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () ->
-        tb_minimize_swaps_body ~config ?pool ~st ~max_blocks ~max_block_relax instance)
+(* ---- entry point ---- *)
+
+type objective =
+  | Depth
+  | Swaps of { warm_start : int option }
+  | Weighted_swaps of (int -> int)
+  | Tb_blocks
+  | Tb_swaps
+
+let optimize ~config ~incremental ~budget ?pool objective instance =
+  let run =
+    {
+      st = Budget.start budget;
+      pool;
+      clock = Stopwatch.start ();
+      iterations = 0;
+      iters = [];
+      agg = Solver.stats_zero ();
+    }
   in
-  { o with tb_stats = agg; tb_iter_stats = iters }
-
-(* ---- incremental horizon-extension optimization (lib/incremental) ---- *)
-
-(* Same refinement loops as above, but over one persistent
-   [Session.t]: when a depth bound outgrows the horizon, the session
-   emits only the delta CNF for the new time steps instead of
-   re-encoding from scratch, so learnt clauses survive every horizon
-   growth, not just bound changes within one horizon.  The session's
-   encoding is plain CNF, hence always pool-capable.
-
-   The session encoding ignores [config]'s formulation/encoding arms
-   (it is a fixed one-hot ladder encoding); [config.symmetry] and the
-   budget/pool knobs apply as usual. *)
-
-module Session = Olsq2_incremental.Session
-
-let isolve ?pool ~st ~assumptions sess =
-  let solver = Session.solver sess in
-  Budget.attach st solver;
-  let before = (Solver.stats solver).Solver.conflicts in
-  let timeout = Budget.solve_timeout st in
-  let max_conflicts = Budget.solve_max_conflicts st in
-  let r =
-    match pool with
-    | Some p ->
-      Pool.solve p
-        ~assumptions:(Session.horizon_assumption sess :: assumptions)
-        ?max_conflicts ?timeout solver
-    | None -> Session.solve ~assumptions ?max_conflicts ?timeout sess
-  in
-  Budget.charge st ~conflicts:((Solver.stats solver).Solver.conflicts - before);
-  r
-
-let session_result ~status ~solve_seconds ~iterations sess =
-  let m = Session.model sess in
-  {
-    Result_.status;
-    depth = m.Session.m_depth;
-    swap_count = List.length m.Session.m_swaps;
-    mapping = m.Session.m_mapping;
-    schedule = m.Session.m_schedule;
-    swaps =
-      List.map
-        (fun (e, tf) -> { Result_.sw_edge = e; sw_finish = tf })
-        m.Session.m_swaps;
-    solve_seconds;
-    iterations;
-  }
-
-(* A depth bound [d] is fully expressive only when SWAPs may finish at
-   every step below it; the last representable finish step is
-   [t_max - 2], so proving UNSAT at [d] needs [t_max >= d + 1].  The
-   classic path gets this by rebuilding with a larger horizon and
-   restarting the ascent; here the horizon grows in place and the
-   ascent just continues — every UNSAT already proven (at bounds below
-   the old horizon) stays valid in the extended encoding. *)
-let session_ensure_horizon sess d =
-  if d + 1 > Session.t_max sess then
-    Session.extend_horizon sess ~t_max:(max (d + 1) (grow_bound (Session.t_max sess)))
-
-let minimize_depth_session_body ~config ?pool ~st instance =
-  let clock = Stopwatch.start () in
-  let iterations = ref 0 in
   let t_lb = max 1 (Instance.depth_lower_bound instance) in
-  let sess =
-    Session.create
-      ~symmetry:config.Config.symmetry
-      ~t_max:(max (t_lb + 1) (Instance.depth_upper_bound instance))
-      ~swap_duration:instance.Instance.swap_duration instance.Instance.circuit
-      instance.Instance.device
+  let oracle config =
+    let t_max = max (t_lb + 1) (Instance.depth_upper_bound instance) in
+    (if incremental then session_oracle else encoder_oracle) run ~config instance ~t_max
   in
-  let fail () =
-    (empty_outcome ~iterations:!iterations ~seconds:(Stopwatch.elapsed clock), None)
-  in
-  let check d =
-    incr iterations;
-    session_ensure_horizon sess d;
-    let sel = Session.depth_selector sess d in
-    iter_span "opt.depth_iter" ~bound:d ~core:(Session.solver sess) ?pool (fun () ->
-        isolve ?pool ~st ~assumptions:[ sel ] sess)
-  in
-  let rec ascend d =
-    if Budget.exhausted st then `Budget
-    else
-      match check d with
-      | Solver.Sat -> `Sat d
-      | Solver.Unknown _ -> `Budget
-      | Solver.Unsat -> ascend (grow_bound d)
-  in
-  let rec descend d =
-    if d - 1 < t_lb then (d, true)
-    else if Budget.exhausted st then (d, false)
-    else
-      match check (d - 1) with
-      | Solver.Sat -> descend (d - 1)
-      | Solver.Unsat -> (d, true)
-      | Solver.Unknown _ -> (d, false)
-  in
-  match ascend t_lb with
-  | `Budget -> fail ()
-  | `Sat d_first -> (
-    let d, optimal = descend d_first in
-    (* re-solve at the chosen bound so the solver holds its model *)
-    match check d with
-    | Solver.Sat ->
-      let status = if optimal then Result_.Optimal else Result_.Feasible in
-      let result =
-        session_result ~status ~solve_seconds:(Stopwatch.elapsed clock)
-          ~iterations:!iterations sess
-      in
-      pareto_point ~depth:d ~swaps:result.Result_.swap_count;
-      ( {
-          result = Some result;
-          optimal;
-          iterations = !iterations;
-          total_seconds = Stopwatch.elapsed clock;
-          pareto = [ (d, result.Result_.swap_count) ];
-          stats = Solver.stats_zero ();
-          iter_stats = [];
-        },
-        Some (sess, d) )
-    | Solver.Unsat | Solver.Unknown _ ->
-      (* unreachable in practice: the same bound was SAT moments ago *)
-      fail ())
-
-let minimize_depth_incremental_st ~config ?pool ~st instance =
-  let (o, sess), iters, agg =
-    collecting (fun () -> minimize_depth_session_body ~config ?pool ~st instance)
-  in
-  ({ o with stats = agg; iter_stats = iters }, sess)
-
-let minimize_depth_incremental ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    instance =
-  fst (minimize_depth_incremental_st ~config ?pool ~st:(Budget.start budget) instance)
-
-(* SWAP descent on a session holding a model (mirror of [descend_swaps]). *)
-let descend_swaps_session sess ~depth ~start ?pool ~st iterations =
-  Session.build_counter sess ~max_bound:(max start 1);
-  let rec go best =
-    if best = 0 then (best, true)
-    else if Budget.exhausted st then (best, false)
-    else begin
-      incr iterations;
-      let sel = Session.depth_selector sess depth in
-      let assumptions =
-        match Session.swap_bound_assumption sess (best - 1) with
-        | Some a -> [ sel; a ]
-        | None -> [ sel ]
-      in
-      match
-        iter_span "opt.swap_iter" ~bound:(best - 1) ~core:(Session.solver sess) ?pool
-          (fun () -> isolve ?pool ~st ~assumptions sess)
-      with
-      | Solver.Sat -> go (Session.model_swap_count sess)
-      | Solver.Unsat -> (best, true)
-      | Solver.Unknown _ -> (best, false)
-    end
-  in
-  go start
-
-let minimize_swaps_incremental_body ~config ?pool ~st ~max_depth_relax ?warm_start instance =
-  let clock = Stopwatch.start () in
-  let depth_outcome, sess_opt = minimize_depth_incremental_st ~config ?pool ~st instance in
-  match (depth_outcome.result, sess_opt) with
-  | None, _ | _, None -> depth_outcome
-  | Some _, Some (sess, d0) ->
-    let iterations = ref depth_outcome.iterations in
-    let pareto = ref [] in
-    let best = ref None in
-    let best_optimal = ref false in
-    let capture optimal =
-      let status = if optimal then Result_.Optimal else Result_.Feasible in
-      session_result ~status ~solve_seconds:(Stopwatch.elapsed clock)
-        ~iterations:!iterations sess
-    in
-    (* Sweep depth bounds d0, d0+1, ...; at each, descend the SWAP
-       count (same frontier walk as [minimize_swaps_body], on one
-       persistent solver — depth relaxation extends the horizon in
-       place instead of re-encoding). *)
-    let rec sweep d seed relax_left =
-      incr iterations;
-      session_ensure_horizon sess (d + 1);
-      let sel = Session.depth_selector sess d in
-      let bound_assumption b =
-        Session.build_counter sess ~max_bound:(max b 1);
-        match Session.swap_bound_assumption sess (max 0 (b - 1)) with
-        | Some a -> [ sel; a ]
-        | None -> [ sel ]
-      in
-      let assumptions =
-        match seed with
-        | Fresh -> [ sel ]
-        | Warm w | Tightened w -> bound_assumption w
-      in
-      let prev = match seed with Fresh | Warm _ -> None | Tightened b -> Some b in
-      match
-        iter_span "opt.sweep_level" ~bound:d ~core:(Session.solver sess) ?pool (fun () ->
-            isolve ?pool ~st ~assumptions sess)
-      with
-      | Solver.Unsat when (match seed with Warm _ -> true | Fresh | Tightened _ -> false) ->
-        sweep d Fresh relax_left
-      | Solver.Unsat | Solver.Unknown _ -> ()
-      | Solver.Sat ->
-        let start = Session.model_swap_count sess in
-        let count, optimal = descend_swaps_session sess ~depth:d ~start ?pool ~st iterations in
-        pareto_point ~depth:d ~swaps:count;
-        pareto := (d, count) :: !pareto;
-        let improves = match prev with None -> true | Some b -> count < b in
-        if improves then begin
-          best := Some (capture optimal);
-          best_optimal := optimal
-        end;
-        if count > 0 && relax_left > 0 && not (Budget.exhausted st) then
-          sweep (d + 1) (Tightened count) (relax_left - 1)
-    in
-    let initial_seed =
-      match warm_start with Some w when w >= 0 -> Warm w | Some _ | None -> Fresh
-    in
-    sweep d0 initial_seed max_depth_relax;
-    let result =
-      match !best with Some r -> Some r | None -> depth_outcome.result
-    in
-    {
-      result;
-      optimal = !best_optimal;
-      iterations = !iterations;
-      total_seconds = Stopwatch.elapsed clock;
-      pareto = List.rev !pareto;
-      stats = Solver.stats_zero ();
-      iter_stats = [];
-    }
-
-let minimize_swaps_incremental ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    ?(max_depth_relax = 4) ?warm_start instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () ->
-        minimize_swaps_incremental_body ~config ?pool ~st ~max_depth_relax ?warm_start instance)
-  in
-  { o with stats = agg; iter_stats = iters }
-
-let minimize_weighted_swaps_incremental_body ~config ?pool ~st ~weights instance =
-  let clock = Stopwatch.start () in
-  (* orbit symmetry breaking is unsound under per-edge weights: distinct
-     members of an edge orbit can carry different costs *)
-  let config = { config with Config.symmetry = false } in
-  let depth_outcome, sess_opt = minimize_depth_incremental_st ~config ?pool ~st instance in
-  match (depth_outcome.result, sess_opt) with
-  | None, _ | _, None -> depth_outcome
-  | Some _, Some (sess, d) ->
-    let iterations = ref depth_outcome.iterations in
-    let sel = Session.depth_selector sess d in
-    let start = Session.model_weighted_cost sess ~weights in
-    Session.build_weighted_counter sess ~weights ~max_bound:(max start 1);
-    let rec descend best =
-      if best = 0 then (best, true)
-      else if Budget.exhausted st then (best, false)
-      else begin
-        incr iterations;
-        let assumptions =
-          match Session.swap_bound_assumption sess (best - 1) with
-          | Some a -> [ sel; a ]
-          | None -> [ sel ]
-        in
-        match
-          iter_span "opt.weighted_iter" ~bound:(best - 1) ~core:(Session.solver sess) ?pool
-            (fun () -> isolve ?pool ~st ~assumptions sess)
-        with
-        | Solver.Sat -> descend (Session.model_weighted_cost sess ~weights)
-        | Solver.Unsat -> (best, true)
-        | Solver.Unknown _ -> (best, false)
-      end
-    in
-    let cost, optimal = descend start in
-    pareto_point ~depth:d ~swaps:cost;
-    let status = if optimal then Result_.Optimal else Result_.Feasible in
-    let result =
-      session_result ~status ~solve_seconds:(Stopwatch.elapsed clock)
-        ~iterations:!iterations sess
-    in
-    {
-      result = Some result;
-      optimal;
-      iterations = !iterations;
-      total_seconds = Stopwatch.elapsed clock;
-      pareto = [ (d, cost) ];
-      stats = Solver.stats_zero ();
-      iter_stats = [];
-    }
-
-let minimize_weighted_swaps_incremental ?(config = Config.default) ?(budget = Budget.unlimited)
-    ?pool ~weights instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () ->
-        minimize_weighted_swaps_incremental_body ~config ?pool ~st ~weights instance)
-  in
-  { o with stats = agg; iter_stats = iters }
+  match objective with
+  | Depth -> (
+    match minimize_depth run (oracle config) ~t_lb with
+    | None -> outcome run ~optimal:false []
+    | Some (d, optimal, result) ->
+      outcome run ~result ~optimal [ (d, result.Result_.swap_count) ])
+  | Swaps { warm_start } -> minimize_swaps run (oracle config) ~t_lb ~warm_start
+  | Weighted_swaps weights ->
+    (* orbit symmetry breaking is unsound under per-edge weights: distinct
+       members of an edge orbit can carry different costs *)
+    minimize_weighted_swaps run (oracle { config with Config.symmetry = false }) ~t_lb ~weights
+  | Tb_blocks -> minimize_tb_blocks run ~config instance
+  | Tb_swaps -> minimize_tb_swaps run ~config instance

@@ -1,30 +1,19 @@
 (** Iterative-refinement optimization loops (paper §III-B):
     assumption-driven bound search over incremental solver state.
 
-    The five [minimize_*] / [tb_minimize_*] entry points below are the
-    optimization engine behind the {!Synthesis} facade.  New code should
-    call {!Synthesis.run}, which covers every objective behind one
-    signature and returns the unified {!Synthesis.report} (including the
-    recorded trace summary); these entry points remain for callers that
-    need engine-level knobs ([max_depth_relax], [max_blocks], ...) and are
-    considered deprecated as a public API.
+    This is the engine behind {!Synthesis.run}, which is the entry point
+    to call: it picks the bound oracle, creates the pool and wraps the
+    result in a {!Synthesis.report}.  Every loop (depth ascent/descent,
+    the (depth, SWAP) Pareto sweep, the weighted descent, TB block and
+    SWAP search) is written once over a bound oracle — the
+    horizon-extension {!Olsq2_incremental.Session} or the classic
+    {!Encoder}.
 
     When the global {!Olsq2_obs.Obs} tracer is enabled, every bound
     iteration records a span ([opt.depth_iter], [opt.swap_iter],
     [opt.sweep_level], [opt.weighted_iter], [opt.tb_iter], [opt.tb_relax])
     with its bound and verdict, and every Pareto point an [opt.pareto]
-    instant.
-
-    Every entry point takes a declarative {!Budget.t} (wall seconds,
-    conflict cap, per-bound-call seconds) started once at entry, so the
-    deadline is fixed across the whole refinement — including the nested
-    depth loop inside [minimize_swaps] — and an optional
-    {!Olsq2_parallel.Pool.t}: when given and the encoding is pool-capable
-    (plain CNF, no CEGAR loop), hard bound queries are solved
-    cube-and-conquer style across the pool's worker domains instead of on
-    the single master solver.  Replica search effort is merged back into
-    the master's stats at each query, so [iter_stats] deltas and the
-    conflict budget account for parallel work too. *)
+    instant. *)
 
 (** Search-effort record of one bound iteration: which refinement phase
     ([opt.depth_iter], [opt.swap_iter], ...) attempted which bound, what
@@ -53,124 +42,49 @@ type progress = {
 (** Install (or with [None], remove) the process-wide progress sink: while
     a bound iteration solves, the solver fires the sink every [interval]
     (default 2000) conflicts.  Like the ambient tracer, the sink is global
-    so heartbeats need no API threading; portfolio arms forward from their
-    own domains concurrently, so the callback must be domain-safe. *)
+    so heartbeats need no API threading; the serve daemon's concurrent
+    jobs forward from their own domains, so the callback must be
+    domain-safe. *)
 val set_progress_sink : ?interval:int -> (progress -> unit) option -> unit
+
+(** What to minimize; see {!Synthesis.objective}. *)
+type objective =
+  | Depth
+  | Swaps of { warm_start : int option }
+  | Weighted_swaps of (int -> int)
+  | Tb_blocks
+  | Tb_swaps
 
 type outcome = {
   result : Result_.t option;
+      (** for TB objectives, the expanded concrete schedule *)
   optimal : bool;
   iterations : int;  (** total solver calls *)
   total_seconds : float;
-  pareto : (int * int) list;  (** (depth bound, best SWAPs proven at it) *)
+  pareto : (int * int) list;
+      (** (depth bound, best SWAPs proven at it); for TB objectives the
+          accepted block model's (blocks, SWAPs) *)
   stats : Olsq2_sat.Solver.stats;  (** aggregate search effort of this run *)
   iter_stats : iter_stat list;  (** per bound iteration, oldest first *)
 }
 
-(** Depth minimization: geometric ascent from T_LB, then unit descent
-    (paper §III-B-1).  [budget] bounds wall-clock time and conflicts.
-    Deprecated entry point: prefer [Synthesis.run ~objective:Depth]. *)
-val minimize_depth :
-  ?config:Config.t -> ?budget:Budget.t -> ?pool:Olsq2_parallel.Pool.t -> Instance.t -> outcome
-
-(** As {!minimize_depth}, additionally returning the encoder positioned at
-    the found depth for follow-up optimization. *)
-val minimize_depth_with_encoder :
-  ?config:Config.t ->
-  ?budget:Budget.t ->
+(** [optimize ~config ~incremental ~budget ?pool objective instance] runs
+    the refinement loop for [objective].  [incremental] picks the bound
+    oracle for the full-model objectives: one persistent session (which
+    ignores [config]'s formulation/encoding/simplify arms) or the classic
+    encoder rebuilt per horizon (which honours them); TB objectives
+    rebuild per block count either way.  [budget] is started once, so the
+    deadline is fixed across the whole refinement.  [pool], when given
+    and the encoding is plain CNF, solves bound queries cube-and-conquer
+    style; replica effort is merged into the master's stats, so
+    [iter_stats] and the conflict budget account for it.  Weighted
+    objectives force [config.symmetry] off (orbit members can carry
+    different weights). *)
+val optimize :
+  config:Config.t ->
+  incremental:bool ->
+  budget:Budget.t ->
   ?pool:Olsq2_parallel.Pool.t ->
-  Instance.t ->
-  outcome * (Encoder.t * int) option
-
-(** SWAP minimization with 2-D (depth, SWAP) refinement (paper §III-B-2):
-    depth-optimal start, iterative SWAP descent, then depth relaxation
-    while it keeps improving (up to [max_depth_relax] steps).
-    [warm_start] supplies a heuristic SWAP upper bound (e.g. SABRE's
-    count) to seed the first descent, as the paper suggests for S_UB.
-    Deprecated entry point: prefer [Synthesis.run ~objective:(Swaps _)]. *)
-val minimize_swaps :
-  ?config:Config.t ->
-  ?budget:Budget.t ->
-  ?pool:Olsq2_parallel.Pool.t ->
-  ?max_depth_relax:int ->
-  ?warm_start:int ->
+  objective ->
   Instance.t ->
   outcome
-
-(** Fidelity-aware SWAP minimization at optimal depth: [weights e] is the
-    integer cost of a SWAP on edge [e] (e.g. scaled -log fidelity).  The
-    pareto entry records (depth, optimal weighted cost).
-    Deprecated entry point: prefer
-    [Synthesis.run ~objective:(Weighted_swaps _)]. *)
-val minimize_weighted_swaps :
-  ?config:Config.t ->
-  ?budget:Budget.t ->
-  ?pool:Olsq2_parallel.Pool.t ->
-  weights:(int -> int) ->
-  Instance.t ->
-  outcome
-
-(** {2 Incremental horizon-extension entry points}
-
-    Same refinement loops over one persistent
-    {!Olsq2_incremental.Session}: when a depth bound outgrows the
-    horizon, the session emits only the delta CNF for the new time
-    steps instead of re-encoding, so learnt clauses survive horizon
-    growth too.  The session encoding is a fixed plain-CNF one-hot
-    ladder — [config]'s formulation/encoding arms are ignored;
-    [config.symmetry] and budget/pool apply.  Selected by
-    [Synthesis.Options.incremental]. *)
-
-val minimize_depth_incremental :
-  ?config:Config.t -> ?budget:Budget.t -> ?pool:Olsq2_parallel.Pool.t -> Instance.t -> outcome
-
-val minimize_swaps_incremental :
-  ?config:Config.t ->
-  ?budget:Budget.t ->
-  ?pool:Olsq2_parallel.Pool.t ->
-  ?max_depth_relax:int ->
-  ?warm_start:int ->
-  Instance.t ->
-  outcome
-
-(** Weighted descent forces [config.symmetry] off (orbit members can
-    carry different weights, so orbit restriction is unsound here). *)
-val minimize_weighted_swaps_incremental :
-  ?config:Config.t ->
-  ?budget:Budget.t ->
-  ?pool:Olsq2_parallel.Pool.t ->
-  weights:(int -> int) ->
-  Instance.t ->
-  outcome
-
-type tb_outcome = {
-  tb_result : Tb_encoder.result option;
-  tb_optimal : bool;
-  tb_iterations : int;
-  tb_seconds : float;
-  tb_stats : Olsq2_sat.Solver.stats;  (** aggregate search effort of this run *)
-  tb_iter_stats : iter_stat list;  (** per bound iteration, oldest first *)
-}
-
-(** TB-OLSQ2 block-count minimization: bound starts at 1, +1 on UNSAT
-    (paper §III-D).
-    Deprecated entry point: prefer [Synthesis.run ~objective:Tb_blocks]. *)
-val tb_minimize_blocks :
-  ?config:Config.t ->
-  ?budget:Budget.t ->
-  ?pool:Olsq2_parallel.Pool.t ->
-  ?max_blocks:int ->
-  Instance.t ->
-  tb_outcome
-
-(** TB-OLSQ2 SWAP minimization: minimal block count, SWAP descent, then
-    block-count relaxation while it reduces SWAPs.
-    Deprecated entry point: prefer [Synthesis.run ~objective:Tb_swaps]. *)
-val tb_minimize_swaps :
-  ?config:Config.t ->
-  ?budget:Budget.t ->
-  ?pool:Olsq2_parallel.Pool.t ->
-  ?max_blocks:int ->
-  ?max_block_relax:int ->
-  Instance.t ->
-  tb_outcome

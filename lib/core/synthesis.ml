@@ -1,6 +1,6 @@
-(* Unified facade over the Optimizer engine.  Dispatches each objective
-   to the corresponding engine loop, converts the engine-specific outcome
-   into the shared report, and snapshots the global tracer so the report
+(* Unified facade over the Optimizer engine.  Resolves the options into
+   one engine call (bound oracle, pool, ambient SAT tuning), converts the
+   outcome into the report, and snapshots the global tracer so the report
    carries the trace summary of exactly this run. *)
 
 module Obs = Olsq2_obs.Obs
@@ -19,7 +19,8 @@ module Options = struct
     incremental : bool;
         (* solve depth/SWAP objectives on one persistent
            horizon-extension session (lib/incremental) instead of
-           re-encoding per horizon; TB objectives ignore it *)
+           re-encoding per horizon, unless the config needs the classic
+           encoder (see [run]); TB objectives ignore it *)
     device : string option;
         (* named device (Devices.by_name) this request targets; carried
            here so wire requests and the CLI can select topology and
@@ -34,13 +35,27 @@ module Options = struct
 
   let sequential = { workers = 1; share = true; cube_depth = None }
 
+  (* Environment defaults.  A set but malformed variable is an error
+     naming the variable and its value, never a silent fallback. *)
+  let workers_of_env s =
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> Error (Printf.sprintf "OLSQ2_WORKERS=%S: expected a positive integer" s)
+
+  let incremental_of_env s =
+    match bool_of_string_opt (String.trim s) with
+    | Some b -> Ok b
+    | None -> Error (Printf.sprintf "OLSQ2_INCREMENTAL=%S: expected true or false" s)
+
+  let from_env name parse ~default =
+    match Sys.getenv_opt name with
+    | None -> default
+    | Some s -> ( match parse s with Ok v -> v | Error msg -> invalid_arg msg)
+
   (* OLSQ2_WORKERS picks the default worker count so tests and CI can run
      the whole suite parallel without threading a flag through every
      harness. *)
-  let default_workers =
-    match Sys.getenv_opt "OLSQ2_WORKERS" with
-    | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
-    | None -> 1
+  let default_workers = from_env "OLSQ2_WORKERS" workers_of_env ~default:1
 
   (* The horizon-extension session is the default solve strategy: it
      reaches the same optima as the classic re-encode loop (bench/regress
@@ -49,10 +64,7 @@ module Options = struct
      growth emits delta CNF and learnt clauses survive it.
      OLSQ2_INCREMENTAL=false restores the re-encode loop suite-wide, so
      CI can cross-check the two strategies without per-harness flags. *)
-  let default_incremental =
-    match Sys.getenv_opt "OLSQ2_INCREMENTAL" with
-    | Some s -> ( match bool_of_string_opt (String.trim s) with Some b -> b | None -> true)
-    | None -> true
+  let default_incremental = from_env "OLSQ2_INCREMENTAL" incremental_of_env ~default:true
 
   let default =
     {
@@ -249,7 +261,7 @@ module Options = struct
     | _ -> Error "options: expected an object"
 end
 
-type objective =
+type objective = Optimizer.objective =
   | Depth
   | Swaps of { warm_start : int option }
   | Weighted_swaps of (int -> int)
@@ -285,27 +297,6 @@ let of_outcome (o : Optimizer.outcome) ~trace =
     trace;
     solver_stats = o.Optimizer.stats;
     iter_stats = o.Optimizer.iter_stats;
-    certificate = None;
-  }
-
-(* TB outcomes carry the block model; expose it through the unified
-   record as the expanded schedule plus a (blocks, swap_count) pareto
-   entry so no information is lost. *)
-let of_tb_outcome (o : Optimizer.tb_outcome) ~trace =
-  let result, pareto =
-    match o.Optimizer.tb_result with
-    | Some r -> (Some r.Tb_encoder.expanded, [ (r.Tb_encoder.blocks, r.Tb_encoder.swap_count) ])
-    | None -> (None, [])
-  in
-  {
-    result;
-    optimal = o.Optimizer.tb_optimal;
-    iterations = o.Optimizer.tb_iterations;
-    seconds = o.Optimizer.tb_seconds;
-    pareto;
-    trace;
-    solver_stats = o.Optimizer.tb_stats;
-    iter_stats = o.Optimizer.tb_iter_stats;
     certificate = None;
   }
 
@@ -356,31 +347,19 @@ let run ?(options = Options.default) ~objective instance =
   in
   let obs = Obs.global () in
   let since = if Obs.enabled obs then Some (Obs.elapsed obs) else None in
-  let incremental = options.Options.incremental in
-  let dispatch () =
-    match objective with
-    | Depth when incremental ->
-      `Full (Optimizer.minimize_depth_incremental ~config ~budget ?pool instance)
-    | Swaps { warm_start } when incremental ->
-      `Full (Optimizer.minimize_swaps_incremental ~config ~budget ?pool ?warm_start instance)
-    | Weighted_swaps weights when incremental ->
-      `Full (Optimizer.minimize_weighted_swaps_incremental ~config ~budget ?pool ~weights instance)
-    | Depth -> `Full (Optimizer.minimize_depth ~config ~budget ?pool instance)
-    | Swaps { warm_start } ->
-      `Full (Optimizer.minimize_swaps ~config ~budget ?pool ?warm_start instance)
-    | Weighted_swaps weights ->
-      `Full (Optimizer.minimize_weighted_swaps ~config ~budget ?pool ~weights instance)
-    (* TB objectives keep the classic per-block-count encoders: their
-       encoding is rebuilt per block bound by construction. *)
-    | Tb_blocks -> `Tb (Optimizer.tb_minimize_blocks ~config ~budget ?pool instance)
-    | Tb_swaps -> `Tb (Optimizer.tb_minimize_swaps ~config ~budget ?pool instance)
+  (* The one place the bound oracle is picked.  The session is a fixed
+     one-hot ladder encoding without preprocessing, so a run that asks
+     for simplification or a non-default encoding arm goes to the classic
+     encoder, which honours them; [symmetry] applies to both. *)
+  let incremental =
+    options.Options.incremental
+    && { config with Config.symmetry = Config.default.Config.symmetry } = Config.default
   in
-  let engine_outcome = Obs.with_span obs ("synthesis." ^ objective_name objective) dispatch in
-  let report =
-    match engine_outcome with
-    | `Full o -> of_outcome o ~trace:Obs.empty_summary
-    | `Tb o -> of_tb_outcome o ~trace:Obs.empty_summary
+  let outcome =
+    Obs.with_span obs ("synthesis." ^ objective_name objective) (fun () ->
+        Optimizer.optimize ~config ~incremental ~budget ?pool objective instance)
   in
+  let report = of_outcome outcome ~trace:Obs.empty_summary in
   let certificate =
     if options.Options.certify then
       certificate_for ~config ~budget:budget.Budget.wall_seconds ~objective

@@ -1,12 +1,10 @@
-(** Unified synthesis facade: one entry point over every optimization
+(** Unified synthesis facade: the one entry point over every optimization
     objective in the OLSQ2 stack (paper §III-B, §III-D).
 
-    [run] subsumes the five {!Optimizer} entry points
-    ([minimize_depth], [minimize_swaps], [minimize_weighted_swaps],
-    [tb_minimize_blocks], [tb_minimize_swaps]) behind a single signature
-    and a single {!report} record, and snapshots the global
-    {!Olsq2_obs.Obs} tracer so callers get the trace summary of exactly
-    this run without touching the tracer themselves. *)
+    [run] resolves an {!Options.t} into one {!Optimizer} run (bound
+    oracle, pool, SAT tuning), returns a single {!report} record, and
+    snapshots the global {!Olsq2_obs.Obs} tracer so callers get the trace
+    summary of exactly this run without touching the tracer themselves. *)
 
 (** What to minimize.
 
@@ -18,7 +16,7 @@
       integer cost of a SWAP on edge [e] (e.g. scaled -log fidelity).
     - [Tb_blocks]: TB-OLSQ2 block-count minimization (coarse depth proxy).
     - [Tb_swaps]: TB-OLSQ2 SWAP minimization with block relaxation. *)
-type objective =
+type objective = Optimizer.objective =
   | Depth
   | Swaps of { warm_start : int option }
   | Weighted_swaps of (int -> int)
@@ -29,8 +27,8 @@ type objective =
     models.  For TB objectives, [result] holds the expanded concrete
     schedule and [pareto] records [(blocks, swap_count)] of the accepted
     block model; for full-model objectives [pareto] records
-    [(depth bound, best SWAPs proven at it)] exactly as
-    {!Optimizer.outcome} does. *)
+    [(depth bound, best SWAPs proven at it)]: its head is the SWAP count
+    proven at the optimal depth. *)
 type report = {
   result : Result_.t option;  (** best valid schedule found, if any *)
   optimal : bool;  (** objective value proved optimal within budget *)
@@ -100,16 +98,19 @@ module Options : sig
         (** solve [Depth] / [Swaps] / [Weighted_swaps] on one persistent
             horizon-extension session ({!Olsq2_incremental.Session}):
             horizon growth emits delta CNF instead of re-encoding, so
-            learnt clauses survive it.  The session encoding ignores
-            [config]'s formulation/encoding arms; [config.symmetry],
-            budget and pool apply.  TB objectives ignore this flag.
-            Certification is unaffected (it re-solves the claimed bound
-            on a fresh classic encoder either way).  This is the
-            default: the session reaches the same optima as the
-            re-encode loop at a fraction of the wall time.  The default
-            honors the [OLSQ2_INCREMENTAL] environment variable
-            (set it to [false] to restore the classic loop suite-wide),
-            else [true]. *)
+            learnt clauses survive it.  The session encoding is a fixed
+            one-hot ladder without preprocessing, so a run whose
+            effective config asks for [simplify] or any
+            formulation/encoding/injectivity/cardinality arm other than
+            {!Config.default}'s solves on the classic encoder instead,
+            which honours them; [config.symmetry], budget and pool apply
+            to both.  TB objectives ignore this flag.  Certification is
+            unaffected (it re-solves the claimed bound on a fresh classic
+            encoder either way).  This is the default: the session
+            reaches the same optima as the re-encode loop at a fraction
+            of the wall time.  The default honors the
+            [OLSQ2_INCREMENTAL] environment variable (set it to [false]
+            to restore the classic loop suite-wide), else [true]. *)
     device : string option;
         (** named target device, resolved with
             {!Olsq2_device.Devices.by_name} (e.g. ["heavy-hex-127"]); the
@@ -133,8 +134,19 @@ module Options : sig
 
   (** Everything off / unlimited; [parallel.workers] honors the
       [OLSQ2_WORKERS] environment variable (so test suites and CI can run
-      parallel without threading a flag), defaulting to 1. *)
+      parallel without threading a flag), defaulting to 1, and
+      [incremental] honors [OLSQ2_INCREMENTAL].  A set but malformed
+      variable raises [Invalid_argument] (with the {!workers_of_env} /
+      {!incremental_of_env} message) when the library initializes. *)
   val default : t
+
+  (** Parse an [OLSQ2_WORKERS] value: a positive integer, surrounding
+      blanks allowed.  The error names the variable and its value. *)
+  val workers_of_env : string -> (int, string) result
+
+  (** Parse an [OLSQ2_INCREMENTAL] value: [true] or [false], surrounding
+      blanks allowed.  The error names the variable and its value. *)
+  val incremental_of_env : string -> (bool, string) result
 
   val with_config : Config.t -> t -> t
   val with_simplify : bool -> t -> t

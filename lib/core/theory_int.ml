@@ -45,7 +45,7 @@ and t = {
 
 (* ---- per-context registry (physical identity) ---- *)
 
-(* Guarded by a mutex: the portfolio runner builds encoders from several
+(* Guarded by a mutex: the serve daemon builds encoders from several
    domains concurrently. *)
 let registries : (Obj.t * t) list ref = ref []
 let registries_lock = Mutex.create ()

@@ -5,8 +5,8 @@
    [t.on] branch, so permanently-instrumented code (the SAT solver, the
    encoders, the optimizer loops) costs one predictable branch per event
    when tracing is off.  Live recording appends to a buffer owned by the
-   current domain (found via [Domain.DLS]), so portfolio arms running in
-   parallel never contend on a lock for ordinary events; the tracer-wide
+   current domain (found via [Domain.DLS]), so pool workers and serve
+   jobs running in parallel never contend on a lock for ordinary events; the tracer-wide
    mutex is taken only when a domain records its very first event and
    when buffers are merged for export. *)
 
@@ -20,7 +20,7 @@ type kind = Span | Instant | Count | Gauge | Hist
    (2^((i-1-zero)/4), 2^((i-zero)/4)], quarter-powers of two over
    2^-20 .. 2^20, so observation is O(1), the footprint is one fixed int
    array, and quantiles carry <= ~19% relative error.  Two histograms
-   add bucket-wise, which is what makes per-domain (portfolio-arm)
+   add bucket-wise, which is what makes per-domain (pool-worker)
    distributions aggregate into process totals. *)
 module Histogram = struct
   let quarter_octaves = 4

@@ -9,7 +9,8 @@
       can stay on permanently in the hot solving paths (verified by the
       [bench/micro] obs kernels);
     - recording is domain-safe: each domain appends to its own buffer
-      (portfolio arms trace concurrently without locks on the hot path). *)
+      (pool workers and serve jobs trace concurrently without locks on
+      the hot path). *)
 
 (** Attribute values attached to events. *)
 type value = Int of int | Float of float | Str of string | Bool of bool
@@ -24,7 +25,7 @@ type kind =
 (** Log-bucketed value distributions: constant-size (fixed bucket array),
     O(1) observation, and mergeable — two histograms recorded in different
     domains (or solver instances) add bucket-wise, which is what lets
-    per-arm solver statistics aggregate into portfolio totals.
+    per-iteration solver statistics aggregate into run totals.
 
     Buckets are quarter-powers of two ([2^(k/4)]), covering [2^-20 ..
     2^20] (about 1e-6 to 1e6), so quantile estimates carry at most ~19%

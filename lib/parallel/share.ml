@@ -1,4 +1,4 @@
-(* Bounded lossy clause ring + fingerprint-keyed hub.
+(* Bounded lossy clause ring.
 
    The ring is the standard lock-free "latest wins" broadcast: a writer
    claims a monotonically increasing sequence number with fetch_and_add
@@ -93,69 +93,3 @@ let endpoints chan ~src ?(var_limit = max_int) ?max_len ?max_lbd () =
     cs
   in
   { Solver.sh_export; sh_import }
-
-(* Order-sensitive FNV-1a over the database shape: two solvers agree iff
-   they executed the same variable/clause/unit sequence, which is exactly
-   the condition under which their variable numberings line up. *)
-let fingerprint solver =
-  let h = ref 0x3bf29ce484222325 (* FNV offset basis, truncated to 63-bit *) in
-  let mix v = h := (!h lxor v) * 0x100000001b3 in
-  mix (Solver.nvars solver);
-  List.iter (fun l -> mix (1 + Lit.to_int l)) (Solver.root_units solver);
-  Solver.fold_problem_clauses solver
-    (fun () lits ->
-      mix (-2);
-      Array.iter (fun l -> mix (1 + Lit.to_int l)) lits)
-    ();
-  !h
-
-(* ---- hub ---- *)
-
-type hub_state = {
-  mutable active : bool;
-  table : (int, channel) Hashtbl.t;
-  mutable next_src : int;
-}
-
-let hub = { active = false; table = Hashtbl.create 7; next_src = 0 }
-let hub_mutex = Mutex.create ()
-
-let with_hub f =
-  Mutex.lock hub_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock hub_mutex) f
-
-let hub_activate () = with_hub (fun () -> hub.active <- true)
-
-let hub_deactivate () =
-  with_hub (fun () ->
-      hub.active <- false;
-      Hashtbl.reset hub.table)
-
-let hub_active () = with_hub (fun () -> hub.active)
-
-let hub_attach solver =
-  if not (hub_active ()) then ()
-  else begin
-  let fp = fingerprint solver in
-  let attach =
-    with_hub (fun () ->
-        if not hub.active then None
-        else begin
-          let chan =
-            match Hashtbl.find_opt hub.table fp with
-            | Some c -> c
-            | None ->
-              let c = create () in
-              Hashtbl.add hub.table fp c;
-              c
-          in
-          let src = hub.next_src in
-          hub.next_src <- src + 1;
-          Some (chan, src)
-        end)
-  in
-  match attach with
-  | None -> ()
-  | Some (chan, src) ->
-    Solver.set_share solver (Some (endpoints chan ~src ~var_limit:(Solver.nvars solver) ()))
-  end

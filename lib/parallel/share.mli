@@ -14,22 +14,10 @@
     the channel needs no delivery guarantee, only cheap non-blocking
     transfer.
 
-    {1 Hub}
-
-    The hub wires sharing between {e independently built} solvers that
-    happen to hold the same formula — portfolio arms running the same
-    encoding.  Arms register with a {!fingerprint} of their clause
-    database; matching fingerprints join the same channel.  Exports are
-    restricted to variables below the registration-time [var_limit] (the
-    variable count of the just-built base encoding), because only the
-    base segment of the variable space is guaranteed to mean the same
-    thing in every arm — selectors and cardinality internals allocated
-    later may diverge if arms are cancelled at different points.
-
     Clauses are never imported into a proof-logging solver (the solver
     itself enforces this; see {!Olsq2_sat.Solver.set_share}), so
-    [--certify] runs keep their DRAT streams sound: certifying arms still
-    {e export} — their learnts are logged locally first — but search is
+    [--certify] runs keep their DRAT streams sound: certifying solvers
+    still {e export} — their learnts are logged locally first — but search is
     uninfluenced by foreign clauses. *)
 
 module Solver = Olsq2_sat.Solver
@@ -71,28 +59,3 @@ val dropped : cursor -> int
     {!Olsq2_sat.Solver.set_share}. *)
 val endpoints :
   channel -> src:int -> ?var_limit:int -> ?max_len:int -> ?max_lbd:int -> unit -> Solver.share
-
-(** Deterministic fingerprint of a solver's clause database (variable
-    count, root units and live problem clauses, in order).  Two solvers
-    that executed the same [new_var] / [add_clause] sequence agree. *)
-val fingerprint : Solver.t -> int
-
-(** {2 Hub} — process-wide registry used by {!Olsq2_core.Portfolio}. *)
-
-(** Turn the hub on.  Subsequent {!hub_attach} calls take effect; meant
-    to be called before spawning portfolio arms. *)
-val hub_activate : unit -> unit
-
-(** Turn the hub off and forget all channels.  Solvers keep their
-    endpoints (drains of a forgotten channel still work), but new
-    attaches become no-ops. *)
-val hub_deactivate : unit -> unit
-
-val hub_active : unit -> bool
-
-(** [hub_attach solver] registers [solver] under the fingerprint of its
-    current database and installs share endpoints joining it with every
-    other solver attached under the same fingerprint, with exports
-    limited to the variables existing now.  No-op while the hub is
-    inactive.  Thread-safe. *)
-val hub_attach : Solver.t -> unit

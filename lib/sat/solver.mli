@@ -12,8 +12,8 @@ type t
 (** Why a resource-bounded [solve] call stopped without an answer:
     [Conflict_budget] — the [max_conflicts] budget was spent;
     [Timeout] — the wall-clock [timeout] passed;
-    [Interrupted] — {!interrupt} was called (e.g. by a portfolio arm
-    cancelling its losers). *)
+    [Interrupted] — {!interrupt} was called (e.g. by a pool cancelling
+    its remaining cubes, or a serve watchdog preempting a job). *)
 type reason = Conflict_budget | Timeout | Interrupted
 
 type result = Sat | Unsat | Unknown of reason
@@ -43,7 +43,7 @@ type proof_logger = {
     sample per conflict (learnt-clause LBD, trail depth at conflict), so
     quantiles describe the search's whole lifetime.  Use {!stats_copy} /
     {!stats_diff} to carve out per-call or per-bound-iteration deltas, and
-    {!stats_add} to aggregate across solvers (e.g. portfolio arms). *)
+    {!stats_add} to aggregate across solvers (e.g. bound iterations). *)
 type stats = {
   mutable conflicts : int;
   mutable decisions : int;

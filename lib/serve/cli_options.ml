@@ -16,7 +16,7 @@ type common = {
   simplify : bool option;
   certify : bool;
   proof_file : string option;
-  incremental : bool option;  (* None: Options.default (OLSQ2_INCREMENTAL or false) *)
+  incremental : bool option;  (* None: Options.default (OLSQ2_INCREMENTAL or true) *)
   symmetry : bool option;
   default_device : string option;
   sat : string list;  (* raw --sat KEY=VAL overrides, applied in order *)
@@ -42,9 +42,8 @@ let workers_arg =
 let share_arg =
   let on =
     let doc =
-      "Share short learnt clauses between parallel solvers: cube-and-conquer workers (default \
-       when $(b,--workers) > 1) and portfolio arms with matching base CNF (off by default).  \
-       Never applied to proof-logging solvers, so $(b,--certify) stays sound."
+      "Share short learnt clauses between the cube-and-conquer workers of $(b,--workers) > 1 \
+       (the default).  Never applied to proof-logging solvers, so $(b,--certify) stays sound."
     in
     (Some true, Arg.info [ "share" ] ~doc)
   in
@@ -79,13 +78,14 @@ let simplify_arg =
   let on =
     let doc =
       "Preprocess every built CNF (SatELite-style subsumption + bounded variable elimination) and \
-       inprocess during long solves; proof logging stays checkable.  Exact methods only (olsq2, \
-       portfolio); with $(b,--metrics) the aggregate reduction is reported."
+       inprocess during long solves; proof logging stays checkable.  Exact method only (olsq2), \
+       which then runs on the classic encoder; with $(b,--metrics) the aggregate reduction is \
+       reported."
     in
     (Some true, Arg.info [ "simplify" ] ~doc)
   in
   let off =
-    let doc = "Disable CNF simplification everywhere, including the portfolio's preprocessed arm." in
+    let doc = "Disable CNF simplification everywhere." in
     (Some false, Arg.info [ "no-simplify" ] ~doc)
   in
   Arg.(value & vflag None [ on; off ])
@@ -96,7 +96,8 @@ let incremental_arg =
       "Solve depth/swap objectives on one persistent horizon-extension solver session: growing \
        the time horizon emits only the delta CNF, so learnt clauses survive horizon growth \
        instead of being discarded by a re-encode.  Exact full-model objectives only (TB methods \
-       ignore it).  Defaults to $(b,OLSQ2_INCREMENTAL) or off."
+       ignore it); $(b,--simplify) or a non-default $(b,--config) runs on the classic encoder, \
+       which honours them.  Defaults to $(b,OLSQ2_INCREMENTAL) or on."
     in
     (Some true, Arg.info [ "incremental" ] ~doc)
   in
@@ -155,7 +156,7 @@ let certify_arg =
   let doc =
     "Certify the optimality claim: re-solve at the optimum with DRAT proof logging, check the \
      proof with the built-in trusted checker, and validate the model.  Exits nonzero if the \
-     certificate cannot be produced or fails.  Supported for the olsq2 and portfolio methods."
+     certificate cannot be produced or fails.  Supported for the olsq2 method."
   in
   Arg.(value & flag & info [ "certify" ] ~doc)
 

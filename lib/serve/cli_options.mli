@@ -18,7 +18,7 @@ type common = {
   proof_file : string option;
   incremental : bool option;
       (** [None] defers to {!Olsq2_core.Synthesis.Options.default}
-          (the [OLSQ2_INCREMENTAL] environment variable, or off) *)
+          (the [OLSQ2_INCREMENTAL] environment variable, or on) *)
   symmetry : bool option;
       (** overrides [config.symmetry] when set *)
   default_device : string option;

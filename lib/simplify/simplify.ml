@@ -91,8 +91,9 @@ let reduction_summary r =
 
 let pp_report fmt r = Format.pp_print_string fmt (reduction_summary r)
 
-(* Process-wide accumulator for the CLI's [--metrics] summary: portfolio
-   arms preprocess in their own domains, so plain refs would race. *)
+(* Process-wide accumulator for the CLI's [--metrics] summary: the serve
+   daemon's concurrent jobs preprocess in their own domains, so plain
+   refs would race. *)
 let t_runs = Atomic.make 0
 let t_clauses_before = Atomic.make 0
 let t_clauses_after = Atomic.make 0

@@ -74,8 +74,8 @@ val preprocess : ?opts:options -> Olsq2_sat.Solver.t -> report
     the refreshed clause database. *)
 val attach_inprocessing : ?opts:options -> ?interval:int -> Olsq2_sat.Solver.t -> unit
 
-(** Process-wide accumulation across runs (atomic, so portfolio arms in
-    other domains are counted), for the CLI's [--metrics] summary. *)
+(** Process-wide accumulation across runs (atomic, so concurrent serve
+    jobs in other domains are counted), for the CLI's [--metrics] summary. *)
 type totals = {
   runs : int;
   total_clauses_before : int;

@@ -6,7 +6,7 @@ module Core = Olsq2_core
 module Instance = Core.Instance
 module Result_ = Core.Result_
 module Validate = Core.Validate
-module Optimizer = Core.Optimizer
+module Synthesis = Core.Synthesis
 module Sabre = Olsq2_heuristic.Sabre
 module Astar = Olsq2_heuristic.Astar_router
 module Satmap = Olsq2_satmap.Satmap
@@ -62,7 +62,7 @@ let test_sabre_never_beats_optimal_swaps () =
   List.iter
     (fun inst ->
       let sabre = Sabre.synthesize ~seed:4 inst in
-      match (Optimizer.minimize_swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Optimizer.result with
+      match (Synth.swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Synthesis.result with
       | Some exact ->
         Alcotest.(check bool)
           (Instance.label inst ^ " exact <= sabre")
@@ -105,14 +105,14 @@ let test_tb_no_worse_than_satmap () =
      cannot beat it on these small instances *)
   List.iter
     (fun inst ->
-      let tb = Optimizer.tb_minimize_swaps ~budget:(Core.Budget.of_seconds 120.0) inst in
+      let tb = Synth.tb_swaps ~budget:(Core.Budget.of_seconds 120.0) inst in
       let sm = Satmap.synthesize ~budget_seconds:120.0 inst in
-      match (tb.Optimizer.tb_result, sm.Satmap.result) with
+      match (tb.Synthesis.result, sm.Satmap.result) with
       | Some tbr, Some smr ->
         Alcotest.(check bool)
           (Instance.label inst ^ " tb <= satmap")
           true
-          (tbr.Core.Tb_encoder.swap_count <= smr.Result_.swap_count)
+          (tbr.Result_.swap_count <= smr.Result_.swap_count)
       | _ -> () (* budget: no claim *))
     [
       Instance.make ~swap_duration:3 (B.Standard.toffoli_example ()) Devices.qx2;
@@ -133,7 +133,7 @@ let test_astar_valid () =
 
 let test_astar_never_beats_exact () =
   let inst = Instance.make ~swap_duration:1 (B.Qaoa.random ~seed:3 6) (Devices.grid 2 3) in
-  match (Astar.synthesize ~seed:2 inst, (Optimizer.minimize_swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Optimizer.result) with
+  match (Astar.synthesize ~seed:2 inst, (Synth.swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Synthesis.result) with
   | Some astar, Some exact ->
     Alcotest.(check bool) "exact <= astar" true
       (exact.Result_.swap_count <= astar.Result_.swap_count)
@@ -160,7 +160,7 @@ let test_queko_sabre_vs_exact_depth () =
   let circuit = B.Queko.generate_counts ~seed:3 device ~depth:4 ~total_gates:12 () in
   let inst = Instance.make ~swap_duration:3 circuit device in
   let sabre = Sabre.synthesize ~seed:9 inst in
-  match (Optimizer.minimize_depth ~budget:(Core.Budget.of_seconds 300.0) inst).Optimizer.result with
+  match (Synth.depth ~budget:(Core.Budget.of_seconds 300.0) inst).Synthesis.result with
   | Some exact ->
     Alcotest.(check int) "exact hits known optimum" 4 exact.Result_.depth;
     Alcotest.(check bool) "sabre >= optimum" true (sabre.Result_.depth >= exact.Result_.depth)

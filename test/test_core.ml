@@ -9,7 +9,7 @@ module Ivar = Core.Ivar
 module Theory_int = Core.Theory_int
 module Encoder = Core.Encoder
 module Tb_encoder = Core.Tb_encoder
-module Optimizer = Core.Optimizer
+module Synthesis = Core.Synthesis
 module Result_ = Core.Result_
 module Validate = Core.Validate
 module Ctx = Olsq2_encode.Ctx
@@ -184,12 +184,12 @@ let test_encoder_olsq_equals_olsq2 () =
   (* same optimal depth from the redundant and succinct formulations *)
   let inst = toffoli_qx2 () in
   let d_olsq2 =
-    match (Optimizer.minimize_depth ~config:Config.olsq2_bv inst).Optimizer.result with
+    match (Synth.depth ~options:(Synth.configured Config.olsq2_bv) inst).Synthesis.result with
     | Some r -> r.Result_.depth
     | None -> -1
   in
   let d_olsq =
-    match (Optimizer.minimize_depth ~config:Config.olsq_bv inst).Optimizer.result with
+    match (Synth.depth ~options:(Synth.configured Config.olsq_bv) inst).Synthesis.result with
     | Some r -> r.Result_.depth
     | None -> -2
   in
@@ -201,7 +201,7 @@ let test_encoder_configs_agree_small () =
   let reference = ref None in
   List.iter
     (fun config ->
-      match (Optimizer.minimize_depth ~config inst).Optimizer.result with
+      match (Synth.depth ~options:(Synth.configured config) inst).Synthesis.result with
       | Some r -> (
         match !reference with
         | None -> reference := Some r.Result_.depth
@@ -213,7 +213,7 @@ let test_encoder_configs_agree_small () =
 
 let test_depth_optimal_toffoli () =
   let inst = toffoli_qx2 () in
-  match (Optimizer.minimize_depth inst).Optimizer.result with
+  match (Synth.depth inst).Synthesis.result with
   | Some r ->
     Alcotest.(check int) "depth = T_LB" (Instance.depth_lower_bound inst) r.Result_.depth;
     Alcotest.(check string) "optimal" "optimal" (Result_.status_string r.Result_.status);
@@ -222,7 +222,7 @@ let test_depth_optimal_toffoli () =
 
 let test_swap_optimal_toffoli () =
   let inst = toffoli_qx2 () in
-  match (Optimizer.minimize_swaps inst).Optimizer.result with
+  match (Synth.swaps inst).Synthesis.result with
   | Some r ->
     (* QX2 contains a triangle, so the Toffoli needs no SWAPs *)
     Alcotest.(check int) "0 swaps" 0 r.Result_.swap_count;
@@ -231,7 +231,7 @@ let test_swap_optimal_toffoli () =
 
 let test_swap_optimal_triangle_line () =
   let inst = needs_swap_line () in
-  match (Optimizer.minimize_swaps inst).Optimizer.result with
+  match (Synth.swaps inst).Synthesis.result with
   | Some r ->
     Alcotest.(check int) "exactly 1 swap" 1 r.Result_.swap_count;
     Validate.check_exn inst r
@@ -240,14 +240,14 @@ let test_swap_optimal_triangle_line () =
 let test_optimizer_pareto_monotone () =
   let qaoa = B.Qaoa.random ~seed:4 6 in
   let inst = Instance.make ~swap_duration:1 qaoa (Devices.grid 2 3) in
-  let o = Optimizer.minimize_swaps ~max_depth_relax:3 inst in
+  let o = Synth.swaps inst in
   (* swap counts along the pareto sweep never increase with depth *)
   let rec monotone = function
     | (_, s1) :: ((_, s2) :: _ as rest) -> s1 >= s2 && monotone rest
     | _ -> true
   in
-  Alcotest.(check bool) "pareto monotone" true (monotone o.Optimizer.pareto);
-  match o.Optimizer.result with
+  Alcotest.(check bool) "pareto monotone" true (monotone o.Synthesis.pareto);
+  match o.Synthesis.result with
   | Some r -> Validate.check_exn inst r
   | None -> Alcotest.fail "no result"
 
@@ -255,7 +255,7 @@ let test_budget_timeout_returns_quickly () =
   let qaoa = B.Qaoa.random ~seed:8 12 in
   let inst = Instance.make ~swap_duration:1 qaoa Devices.sycamore54 in
   let clock = Olsq2_util.Stopwatch.start () in
-  let o = Optimizer.minimize_depth ~budget:(Core.Budget.of_seconds 0.2) inst in
+  let o = Synth.depth ~budget:(Core.Budget.of_seconds 0.2) inst in
   ignore o;
   Alcotest.(check bool) "respects budget" true (Olsq2_util.Stopwatch.elapsed clock < 30.0)
 
@@ -263,21 +263,21 @@ let test_budget_timeout_returns_quickly () =
 
 let test_tb_blocks_toffoli () =
   let inst = toffoli_qx2 () in
-  let o = Optimizer.tb_minimize_blocks inst in
-  match o.Optimizer.tb_result with
-  | Some r ->
-    Alcotest.(check int) "one block suffices" 1 r.Tb_encoder.blocks;
-    Alcotest.(check int) "no swaps" 0 r.Tb_encoder.swap_count;
-    Validate.check_exn inst r.Tb_encoder.expanded
-  | None -> Alcotest.fail "no TB result"
+  let o = Synth.tb_blocks inst in
+  match (o.Synthesis.result, o.Synthesis.pareto) with
+  | Some r, [ (blocks, _) ] ->
+    Alcotest.(check int) "one block suffices" 1 blocks;
+    Alcotest.(check int) "no swaps" 0 r.Result_.swap_count;
+    Validate.check_exn inst r
+  | _ -> Alcotest.fail "no TB result"
 
 let test_tb_swaps_triangle_line () =
   let inst = needs_swap_line () in
-  let o = Optimizer.tb_minimize_swaps inst in
-  match o.Optimizer.tb_result with
+  let o = Synth.tb_swaps inst in
+  match o.Synthesis.result with
   | Some r ->
-    Alcotest.(check int) "1 swap" 1 r.Tb_encoder.swap_count;
-    Validate.check_exn inst r.Tb_encoder.expanded
+    Alcotest.(check int) "1 swap" 1 r.Result_.swap_count;
+    Validate.check_exn inst r
   | None -> Alcotest.fail "no TB result"
 
 let test_tb_fixed_initial_mapping () =
@@ -360,7 +360,7 @@ let test_validate_messages () =
 
 let test_export_physical_circuit () =
   let inst = needs_swap_line () in
-  match (Optimizer.minimize_swaps inst).Optimizer.result with
+  match (Synth.swaps inst).Synthesis.result with
   | Some r ->
     let phys = Core.Export.physical_circuit inst r in
     (* 3 original gates + 1 swap *)

@@ -6,7 +6,7 @@ module Config = Core.Config
 module Instance = Core.Instance
 module Encoder = Core.Encoder
 module Tb_encoder = Core.Tb_encoder
-module Optimizer = Core.Optimizer
+module Synthesis = Core.Synthesis
 module Result_ = Core.Result_
 module Validate = Core.Validate
 module Theory_int = Core.Theory_int
@@ -62,7 +62,7 @@ let test_single_gate_circuit () =
   let b = Circuit.builder 2 in
   Circuit.add2 b "cx" 0 1;
   let inst = Instance.make ~swap_duration:3 (Circuit.build b ~name:"one") Devices.qx2 in
-  match (Optimizer.minimize_depth inst).Optimizer.result with
+  match (Synth.depth inst).Synthesis.result with
   | Some r ->
     Alcotest.(check int) "depth 1" 1 r.Result_.depth;
     Alcotest.(check int) "no swaps" 0 r.Result_.swap_count;
@@ -76,7 +76,7 @@ let test_single_qubit_gates_only () =
   Circuit.add1 b "t" 0;
   Circuit.add1 b "h" 1;
   let inst = Instance.make ~swap_duration:3 (Circuit.build b ~name:"oneq") Devices.qx2 in
-  match (Optimizer.minimize_swaps inst).Optimizer.result with
+  match (Synth.swaps inst).Synthesis.result with
   | Some r ->
     Alcotest.(check int) "depth 2" 2 r.Result_.depth;
     Alcotest.(check int) "no swaps" 0 r.Result_.swap_count;
@@ -94,7 +94,7 @@ let test_swap_finish_time_window () =
   Circuit.add2 b "cx" 0 2;
   Circuit.add2 b "cx" 1 2;
   let inst = Instance.make ~swap_duration:3 (Circuit.build b ~name:"tri") (Devices.line 3) in
-  match (Optimizer.minimize_swaps inst).Optimizer.result with
+  match (Synth.swaps inst).Synthesis.result with
   | Some r ->
     List.iter
       (fun (sw : Result_.swap) ->
@@ -110,7 +110,7 @@ let test_swap_duration_one () =
   Circuit.add2 b "cx" 0 2;
   Circuit.add2 b "cx" 1 2;
   let inst = Instance.make ~swap_duration:1 (Circuit.build b ~name:"tri1") (Devices.line 3) in
-  match (Optimizer.minimize_swaps inst).Optimizer.result with
+  match (Synth.swaps inst).Synthesis.result with
   | Some r ->
     Alcotest.(check int) "1 swap still needed" 1 r.Result_.swap_count;
     (* shallower than the S_D = 3 variant *)
@@ -143,7 +143,7 @@ let test_olsq_and_olsq2_same_swap_optimum () =
     Instance.make ~swap_duration:1 (B.Qaoa.random ~seed:6 6) (Devices.grid 2 3)
   in
   let swaps config =
-    match (Optimizer.minimize_swaps ~config ~budget:(Core.Budget.of_seconds 120.0) inst).Optimizer.result with
+    match (Synth.swaps ~options:(Synth.configured config) ~budget:(Core.Budget.of_seconds 120.0) inst).Synthesis.result with
     | Some r -> r.Result_.swap_count
     | None -> -1
   in
@@ -266,7 +266,7 @@ let test_export_respects_dependencies () =
   let inst =
     Instance.make ~swap_duration:1 (B.Qaoa.random ~seed:9 6) (Devices.line 6)
   in
-  match (Optimizer.minimize_swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Optimizer.result with
+  match (Synth.swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Synthesis.result with
   | Some r ->
     let phys = Core.Export.physical_circuit inst r in
     Alcotest.(check int) "ops = gates + swaps"

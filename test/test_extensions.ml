@@ -1,14 +1,13 @@
 (* Tests for the implemented future-work extensions (paper §V):
-   parallel portfolio synthesis, heuristic warm-started SWAP descent,
-   and domain-guided branching hints. *)
+   heuristic warm-started SWAP descent, fidelity-aware weighted SWAP
+   optimization, and domain-guided branching hints. *)
 
 module Core = Olsq2_core
 module Config = Core.Config
 module Instance = Core.Instance
 module Result_ = Core.Result_
 module Validate = Core.Validate
-module Optimizer = Core.Optimizer
-module Portfolio = Core.Portfolio
+module Synthesis = Core.Synthesis
 module Encoder = Core.Encoder
 module S = Olsq2_sat.Solver
 module Circuit = Olsq2_circuit.Circuit
@@ -21,72 +20,16 @@ let toffoli_qx2 () = Instance.make ~swap_duration:3 (B.Standard.toffoli_example 
 let qaoa_grid () =
   Instance.make ~swap_duration:1 (B.Qaoa.random ~seed:3 8) (Devices.grid 3 3)
 
-(* ---- portfolio ---- *)
-
-let test_portfolio_depth () =
-  let inst = toffoli_qx2 () in
-  let report = Portfolio.run ~budget:(Core.Budget.of_seconds 120.0) Portfolio.Depth inst in
-  match report.Portfolio.winner with
-  | Some w ->
-    let r = Option.get w.Portfolio.result in
-    Validate.check_exn inst r;
-    (* must match the single-arm optimum *)
-    let solo = Optimizer.minimize_depth inst in
-    let solo_depth = (Option.get solo.Optimizer.result).Result_.depth in
-    Alcotest.(check int) "portfolio = solo optimum" solo_depth r.Result_.depth;
-    Alcotest.(check int) "all arms reported"
-      (List.length (Portfolio.default_arms Portfolio.Depth))
-      (List.length report.Portfolio.arms)
-  | None -> Alcotest.fail "portfolio found nothing"
-
-let test_portfolio_swaps () =
-  let inst = qaoa_grid () in
-  let report = Portfolio.run ~budget:(Core.Budget.of_seconds 180.0) Portfolio.Swaps inst in
-  match report.Portfolio.winner with
-  | Some w ->
-    let r = Option.get w.Portfolio.result in
-    Validate.check_exn inst r;
-    (* winner's swap count is the min over reporting arms *)
-    List.iter
-      (fun (arm : Portfolio.arm_outcome) ->
-        match arm.Portfolio.result with
-        | Some ar ->
-          Alcotest.(check bool)
-            ("winner <= " ^ arm.Portfolio.arm.Portfolio.arm_name)
-            true
-            (r.Result_.swap_count <= ar.Result_.swap_count)
-        | None -> ())
-      report.Portfolio.arms
-  | None -> Alcotest.fail "portfolio found nothing"
-
-let test_portfolio_custom_arms () =
-  let inst = toffoli_qx2 () in
-  let arms =
-    [
-      {
-        Portfolio.arm_name = "only-tb";
-        arm_config = Config.olsq2_bv;
-        arm_model = `Transition;
-      };
-    ]
-  in
-  let report = Portfolio.run ~budget:(Core.Budget.of_seconds 60.0) ~arms Portfolio.Swaps inst in
-  Alcotest.(check int) "one arm" 1 (List.length report.Portfolio.arms);
-  match report.Portfolio.winner with
-  | Some w ->
-    Alcotest.(check (option int)) "blocks reported" (Some 1) w.Portfolio.blocks
-  | None -> Alcotest.fail "tb arm failed"
-
 (* ---- warm start ---- *)
 
 let test_warm_start_same_optimum () =
   let inst = qaoa_grid () in
   let sabre = Sabre.synthesize ~seed:5 inst in
-  let plain = Optimizer.minimize_swaps ~budget:(Core.Budget.of_seconds 120.0) inst in
+  let plain = Synth.swaps ~budget:(Core.Budget.of_seconds 120.0) inst in
   let warm =
-    Optimizer.minimize_swaps ~budget:(Core.Budget.of_seconds 120.0) ~warm_start:sabre.Result_.swap_count inst
+    Synth.swaps ~budget:(Core.Budget.of_seconds 120.0) ~warm_start:sabre.Result_.swap_count inst
   in
-  match (plain.Optimizer.result, warm.Optimizer.result) with
+  match (plain.Synthesis.result, warm.Synthesis.result) with
   | Some a, Some b ->
     Alcotest.(check int) "warm start preserves optimum" a.Result_.swap_count b.Result_.swap_count;
     Validate.check_exn inst b
@@ -100,7 +43,7 @@ let test_warm_start_too_tight_falls_back () =
   Circuit.add2 b "cx" 0 2;
   Circuit.add2 b "cx" 1 2;
   let inst = Instance.make ~swap_duration:3 (Circuit.build b ~name:"tri") (Devices.line 3) in
-  match (Optimizer.minimize_swaps ~warm_start:0 inst).Optimizer.result with
+  match (Synth.swaps ~warm_start:0 inst).Synthesis.result with
   | Some r ->
     Alcotest.(check int) "still finds the 1-swap optimum" 1 r.Result_.swap_count;
     Validate.check_exn inst r
@@ -124,7 +67,7 @@ let test_weighted_swaps_prefers_good_edge () =
     let p, p' = Olsq2_device.Coupling.edge device e in
     if (p, p') = (0, 1) then 5 else 1
   in
-  match (Optimizer.minimize_weighted_swaps ~weights inst).Optimizer.result with
+  match (Synth.weighted ~weights inst).Synthesis.result with
   | Some r ->
     Validate.check_exn inst r;
     Alcotest.(check int) "one swap" 1 r.Result_.swap_count;
@@ -133,13 +76,16 @@ let test_weighted_swaps_prefers_good_edge () =
     | _ -> Alcotest.fail "expected exactly one swap")
   | None -> Alcotest.fail "weighted synthesis failed"
 
+(* The weighted descent runs at the optimal depth only, so with uniform
+   weights it must match the SWAP count the plain sweep proves there: the
+   head of its pareto frontier. *)
 let test_weighted_swaps_uniform_equals_plain () =
   let inst = triangle_line () in
-  let weighted = Optimizer.minimize_weighted_swaps ~weights:(fun _ -> 1) inst in
-  let plain = Optimizer.minimize_swaps ~max_depth_relax:0 inst in
-  match (weighted.Optimizer.result, plain.Optimizer.result) with
-  | Some w, Some p ->
-    Alcotest.(check int) "uniform weights = plain objective" p.Result_.swap_count
+  let weighted = Synth.weighted ~weights:(fun _ -> 1) inst in
+  let plain = Synth.swaps inst in
+  match (weighted.Synthesis.result, plain.Synthesis.pareto) with
+  | Some w, (_, swaps_at_optimal_depth) :: _ ->
+    Alcotest.(check int) "uniform weights = plain objective" swaps_at_optimal_depth
       w.Result_.swap_count
   | _ -> Alcotest.fail "synthesis failed"
 
@@ -147,11 +93,11 @@ let test_weighted_zero_cost_edges () =
   (* zero-weight edges are free: the optimal weighted cost is 0 even
      though a SWAP is still required *)
   let inst = triangle_line () in
-  let outcome = Optimizer.minimize_weighted_swaps ~weights:(fun _ -> 0) inst in
-  match outcome.Optimizer.result with
+  let outcome = Synth.weighted ~weights:(fun _ -> 0) inst in
+  match outcome.Synthesis.result with
   | Some r ->
     Validate.check_exn inst r;
-    (match outcome.Optimizer.pareto with
+    (match outcome.Synthesis.pareto with
     | [ (_, cost) ] -> Alcotest.(check int) "weighted cost 0" 0 cost
     | _ -> Alcotest.fail "expected one pareto entry");
     Alcotest.(check bool) "a swap is still used" true (r.Result_.swap_count >= 1)
@@ -194,9 +140,6 @@ let suite =
   [
     ( "extensions",
       [
-        Alcotest.test_case "portfolio depth" `Slow test_portfolio_depth;
-        Alcotest.test_case "portfolio swaps" `Slow test_portfolio_swaps;
-        Alcotest.test_case "portfolio custom arms" `Quick test_portfolio_custom_arms;
         Alcotest.test_case "warm start same optimum" `Slow test_warm_start_same_optimum;
         Alcotest.test_case "warm start too tight" `Quick test_warm_start_too_tight_falls_back;
         Alcotest.test_case "weighted swaps prefer good edges" `Quick

@@ -64,13 +64,13 @@ let test_inc_chain () =
 let test_session_extend () =
   let circuit = B.Standard.toffoli_example () in
   let device = Devices.qx2 in
-  let classic = Core.Optimizer.minimize_depth (Core.Instance.make ~swap_duration:3 circuit device) in
+  let classic = Synth.depth (Core.Instance.make ~swap_duration:3 circuit device) in
   let optimum =
-    match classic.Core.Optimizer.result with
+    match classic.Core.Synthesis.result with
     | Some r -> r.Core.Result_.depth
     | None -> Alcotest.fail "classic depth run failed"
   in
-  checkb "classic optimal" true classic.Core.Optimizer.optimal;
+  checkb "classic optimal" true classic.Core.Synthesis.optimal;
   let sess = Session.create ~t_max:2 ~swap_duration:3 circuit device in
   (* ascend exactly as the optimizer does: a bound d needs t_max >= d + 1
      (the last SWAP slot below d must exist) before its verdict is final *)

@@ -6,7 +6,7 @@ module Config = Core.Config
 module Instance = Core.Instance
 module Result_ = Core.Result_
 module Validate = Core.Validate
-module Optimizer = Core.Optimizer
+module Synthesis = Core.Synthesis
 module Circuit = Olsq2_circuit.Circuit
 module Qasm = Olsq2_circuit.Qasm
 module Devices = Olsq2_device.Devices
@@ -22,7 +22,7 @@ let test_full_pipeline_roundtrip () =
   let circuit = Qasm.parse ~name:"QAOA" text in
   let device = Devices.grid 3 3 in
   let inst = Instance.make ~swap_duration:1 circuit device in
-  match (Optimizer.minimize_swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Optimizer.result with
+  match (Synth.swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Synthesis.result with
   | None -> Alcotest.fail "synthesis failed"
   | Some r ->
     Validate.check_exn inst r;
@@ -43,23 +43,23 @@ let test_quality_ordering () =
   let circuit = B.Qaoa.random ~seed:17 8 in
   let inst = Instance.make ~swap_duration:1 circuit (Devices.grid 3 3) in
   let exact =
-    match (Optimizer.minimize_swaps ~budget:(Core.Budget.of_seconds 180.0) inst).Optimizer.result with
+    match (Synth.swaps ~budget:(Core.Budget.of_seconds 180.0) inst).Synthesis.result with
     | Some r -> r
     | None -> Alcotest.fail "exact failed"
   in
   let tb =
-    match (Optimizer.tb_minimize_swaps ~budget:(Core.Budget.of_seconds 180.0) inst).Optimizer.tb_result with
+    match (Synth.tb_swaps ~budget:(Core.Budget.of_seconds 180.0) inst).Synthesis.result with
     | Some r -> r
     | None -> Alcotest.fail "tb failed"
   in
   let sabre = Sabre.synthesize ~seed:5 inst in
   Validate.check_exn inst exact;
-  Validate.check_exn inst tb.Core.Tb_encoder.expanded;
+  Validate.check_exn inst tb;
   Validate.check_exn inst sabre;
   Alcotest.(check bool) "exact <= sabre" true
     (exact.Result_.swap_count <= sabre.Result_.swap_count);
   Alcotest.(check bool) "tb <= sabre" true
-    (tb.Core.Tb_encoder.swap_count <= sabre.Result_.swap_count)
+    (tb.Result_.swap_count <= sabre.Result_.swap_count)
 
 (* QUEKO end-to-end across two devices (Table III's protocol). *)
 let test_queko_protocol () =
@@ -69,7 +69,7 @@ let test_queko_protocol () =
       let inst = Instance.make ~swap_duration:3 circuit device in
       Alcotest.(check int) "T_LB equals construction depth" depth
         (Instance.depth_lower_bound inst);
-      match (Optimizer.minimize_depth ~budget:(Core.Budget.of_seconds 300.0) inst).Optimizer.result with
+      match (Synth.depth ~budget:(Core.Budget.of_seconds 300.0) inst).Synthesis.result with
       | Some r ->
         Validate.check_exn inst r;
         Alcotest.(check int)
@@ -86,10 +86,10 @@ let test_queko_protocol () =
 let test_eagle_tb_smoke () =
   let circuit = B.Standard.ising ~qubits:8 ~steps:1 in
   let inst = Instance.make ~swap_duration:3 circuit Devices.eagle127 in
-  match (Optimizer.tb_minimize_swaps ~budget:(Core.Budget.of_seconds 300.0) inst).Optimizer.tb_result with
+  match (Synth.tb_swaps ~budget:(Core.Budget.of_seconds 300.0) inst).Synthesis.result with
   | Some r ->
-    Alcotest.(check int) "chain embeds with no swaps" 0 r.Core.Tb_encoder.swap_count;
-    Validate.check_exn inst r.Core.Tb_encoder.expanded
+    Alcotest.(check int) "chain embeds with no swaps" 0 r.Result_.swap_count;
+    Validate.check_exn inst r
   | None -> Alcotest.fail "TB on eagle failed within budget"
 
 (* Depth relaxation can trade depth for SWAPs (paper §III-B-2): the final
@@ -98,11 +98,11 @@ let test_depth_swap_tradeoff () =
   let circuit = B.Qaoa.random ~seed:41 8 in
   let inst = Instance.make ~swap_duration:1 circuit (Devices.grid 3 3) in
   let depth_first =
-    match (Optimizer.minimize_depth inst).Optimizer.result with
+    match (Synth.depth inst).Synthesis.result with
     | Some r -> r
     | None -> Alcotest.fail "depth failed"
   in
-  match (Optimizer.minimize_swaps ~budget:(Core.Budget.of_seconds 180.0) inst).Optimizer.result with
+  match (Synth.swaps ~budget:(Core.Budget.of_seconds 180.0) inst).Synthesis.result with
   | Some swap_first ->
     Alcotest.(check bool) "swap-opt <= depth-opt swaps" true
       (swap_first.Result_.swap_count <= depth_first.Result_.swap_count)
@@ -113,8 +113,9 @@ let test_depth_swap_tradeoff () =
 let test_exact_determinism () =
   let circuit = B.Standard.qft 4 in
   let inst = Instance.make ~swap_duration:3 circuit Devices.qx2 in
-  let d1 = (Optimizer.minimize_depth inst).Optimizer.result in
-  let d2 = (Optimizer.minimize_depth inst).Optimizer.result in
+  let options = Synthesis.Options.with_workers 1 Synth.classic in
+  let d1 = (Synth.depth ~options inst).Synthesis.result in
+  let d2 = (Synth.depth ~options inst).Synthesis.result in
   match (d1, d2) with
   | Some a, Some b -> Alcotest.(check int) "same optimal depth" a.Result_.depth b.Result_.depth
   | _ -> Alcotest.fail "depth synthesis failed"
@@ -124,10 +125,10 @@ let test_exact_determinism () =
 let test_ising_zero_swaps () =
   let circuit = B.Standard.ising ~qubits:5 ~steps:2 in
   let inst = Instance.make ~swap_duration:3 circuit (Devices.grid 2 3) in
-  match (Optimizer.tb_minimize_swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Optimizer.tb_result with
+  match (Synth.tb_swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Synthesis.result with
   | Some r ->
-    Alcotest.(check int) "ising chain needs no swaps" 0 r.Core.Tb_encoder.swap_count;
-    Validate.check_exn inst r.Core.Tb_encoder.expanded
+    Alcotest.(check int) "ising chain needs no swaps" 0 r.Result_.swap_count;
+    Validate.check_exn inst r
   | None -> Alcotest.fail "tb failed"
 
 let suite =

@@ -4,7 +4,7 @@ module Core = Olsq2_core
 module Metrics = Core.Metrics
 module Instance = Core.Instance
 module Result_ = Core.Result_
-module Optimizer = Core.Optimizer
+module Synthesis = Core.Synthesis
 module Circuit = Olsq2_circuit.Circuit
 module Devices = Olsq2_device.Devices
 module B = Olsq2_benchgen
@@ -12,7 +12,7 @@ module Sabre = Olsq2_heuristic.Sabre
 
 let toffoli_result () =
   let inst = Instance.make ~swap_duration:3 (B.Standard.toffoli_example ()) Devices.qx2 in
-  match (Optimizer.minimize_swaps inst).Optimizer.result with
+  match (Synth.swaps inst).Synthesis.result with
   | Some r -> (inst, r)
   | None -> Alcotest.fail "synthesis failed"
 
@@ -60,7 +60,7 @@ let test_exact_beats_heuristic_on_metric () =
      estimated success *)
   let inst = Instance.make ~swap_duration:1 (B.Qaoa.random ~seed:3 8) (Devices.grid 3 3) in
   let sabre = Sabre.synthesize ~seed:5 inst in
-  match (Optimizer.minimize_swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Optimizer.result with
+  match (Synth.swaps ~budget:(Core.Budget.of_seconds 120.0) inst).Synthesis.result with
   | Some exact ->
     let m_exact = Metrics.of_result inst exact in
     let m_sabre = Metrics.of_result inst sabre in

@@ -473,8 +473,8 @@ let test_solver_records_spans () =
       let inst =
         Instance.make ~swap_duration:1 (B.Qaoa.random ~seed:104 4) (Devices.grid 2 2)
       in
-      let o = Optimizer.minimize_depth inst in
-      Alcotest.(check bool) "solved" true (o.Optimizer.result <> None);
+      let o = Synth.depth inst in
+      Alcotest.(check bool) "solved" true (o.Synthesis.result <> None);
       let s = Obs.summary t in
       let has name = List.mem_assoc name s.Obs.span_stats in
       Alcotest.(check bool) "sat.solve spans" true (has "sat.solve");
@@ -547,51 +547,11 @@ let test_solver_stats_and_progress () =
 
 (* ---- Synthesis facade ---- *)
 
-let facade_instances () =
-  [
-    ("qaoa4-grid2x2", Instance.make ~swap_duration:1 (B.Qaoa.random ~seed:104 4) (Devices.grid 2 2));
-    ("qaoa4-qx2", Instance.make ~swap_duration:3 (B.Qaoa.random ~seed:3 4) Devices.qx2);
-  ]
-
-(* These equivalence checks compare the facade's plumbing against a raw
-   sequential engine call, down to incidental fields like the swap count
-   of the depth-optimal model — so force the facade sequential even when
-   OLSQ2_WORKERS asks the suite to default parallel, and force the
-   classic re-encode loop now that the horizon-extension session is the
-   library default (a pool or a session can return a different, equally
-   optimal model). *)
-let sequential = Synthesis.Options.(default |> with_workers 1 |> with_incremental false)
-
-let test_facade_depth_equivalence () =
-  List.iter
-    (fun (name, inst) ->
-      let engine = Optimizer.minimize_depth inst in
-      let facade = Synthesis.run ~options:sequential ~objective:Synthesis.Depth inst in
-      let depth o = match o with Some r -> r.Result_.depth | None -> -1 in
-      Alcotest.(check int)
-        (name ^ ": same depth")
-        (depth engine.Optimizer.result)
-        (depth facade.Synthesis.result);
-      Alcotest.(check bool)
-        (name ^ ": same optimality") engine.Optimizer.optimal facade.Synthesis.optimal;
-      Alcotest.(check (list (pair int int)))
-        (name ^ ": same pareto") engine.Optimizer.pareto facade.Synthesis.pareto)
-    (facade_instances ())
-
-let test_facade_tb_equivalence () =
-  let _, inst = List.hd (facade_instances ()) in
-  let engine = Optimizer.tb_minimize_swaps inst in
-  let facade = Synthesis.run ~options:sequential ~objective:Synthesis.Tb_swaps inst in
-  match (engine.Optimizer.tb_result, facade.Synthesis.result, facade.Synthesis.pareto) with
-  | Some er, Some fr, [ (blocks, swaps) ] ->
-    Alcotest.(check int) "same swap count" er.Core.Tb_encoder.swap_count fr.Result_.swap_count;
-    Alcotest.(check int) "pareto blocks" er.Core.Tb_encoder.blocks blocks;
-    Alcotest.(check int) "pareto swaps" er.Core.Tb_encoder.swap_count swaps;
-    Alcotest.(check bool) "same optimality" engine.Optimizer.tb_optimal facade.Synthesis.optimal
-  | _ -> Alcotest.fail "both engine and facade should solve the tiny instance"
+let facade_instance () =
+  Instance.make ~swap_duration:1 (B.Qaoa.random ~seed:104 4) (Devices.grid 2 2)
 
 let test_facade_trace_summary () =
-  let _, inst = List.hd (facade_instances ()) in
+  let inst = facade_instance () in
   (* disabled global tracer: report carries the empty summary *)
   let quiet = Synthesis.run ~objective:Synthesis.Depth inst in
   Alcotest.(check int) "no trace when disabled" 0 quiet.Synthesis.trace.Obs.events_recorded;
@@ -612,7 +572,7 @@ let test_facade_trace_summary () =
    needed), and the ambient progress sink sees the optimizer's heartbeat
    forwarding with phase/bound context attached. *)
 let test_facade_stats_threading () =
-  let _, inst = List.hd (facade_instances ()) in
+  let inst = facade_instance () in
   let beats = ref [] in
   Optimizer.set_progress_sink ~interval:1 (Some (fun p -> beats := p :: !beats));
   Fun.protect
@@ -655,6 +615,62 @@ let test_facade_stats_threading () =
   ignore (Synthesis.run ~objective:Synthesis.Depth inst);
   Alcotest.(check int) "uninstalled sink stays quiet" before (List.length !beats)
 
+(* The session ignores simplification and the Config encoding arms, so
+   a run that asks for either must solve on the classic encoder, which
+   honours them, even when the session is requested. *)
+let session_requested = Synthesis.Options.(default |> with_incremental true)
+
+let test_simplify_routes_to_encoder () =
+  let inst = facade_instance () in
+  Olsq2_simplify.Simplify.reset_totals ();
+  let options = Synthesis.Options.with_simplify true session_requested in
+  let r = Synthesis.run ~options ~objective:Synthesis.Depth inst in
+  Alcotest.(check bool) "solved" true (r.Synthesis.optimal && r.Synthesis.result <> None);
+  Alcotest.(check bool) "simplification ran" true
+    ((Olsq2_simplify.Simplify.totals ()).Olsq2_simplify.Simplify.runs > 0)
+
+let test_config_arm_routes_to_encoder () =
+  let inst = facade_instance () in
+  with_global_tracer (fun t ->
+      (* attributes of every encode.build span recorded by one run *)
+      let builds options =
+        Obs.reset t;
+        let r = Synthesis.run ~options ~objective:Synthesis.Depth inst in
+        Alcotest.(check bool) "solved" true r.Synthesis.optimal;
+        List.filter_map
+          (fun (e : Obs.event) -> if e.Obs.name = "encode.build" then Some e.Obs.attrs else None)
+          (Obs.events t)
+      in
+      let all_have key value attrs =
+        attrs <> [] && List.for_all (fun a -> List.assoc_opt key a = Some value) attrs
+      in
+      let arm = Core.Config.olsq2_euf_bv in
+      Alcotest.(check bool) "non-default arm: the classic encoder ran" true
+        (all_have "config"
+           (Obs.Str (Core.Config.name arm))
+           (builds (Synthesis.Options.with_config arm session_requested)));
+      Alcotest.(check bool) "default arms: the session ran" true
+        (all_have "incremental" (Obs.Bool true) (builds session_requested)))
+
+(* Malformed environment defaults are errors naming the variable and its
+   value, never a silent fallback. *)
+let test_env_default_parsers () =
+  let module O = Synthesis.Options in
+  let mentions needle = function
+    | Ok _ -> false
+    | Error msg ->
+      let n = String.length needle in
+      let rec at i = i + n <= String.length msg && (String.sub msg i n = needle || at (i + 1)) in
+      at 0
+  in
+  Alcotest.(check (result int string)) "workers" (Ok 4) (O.workers_of_env " 4 ");
+  Alcotest.(check bool) "workers: word rejected" true
+    (mentions "OLSQ2_WORKERS=\"four\"" (O.workers_of_env "four"));
+  Alcotest.(check bool) "workers: zero rejected" true (mentions "OLSQ2_WORKERS" (O.workers_of_env "0"));
+  Alcotest.(check (result bool string)) "incremental" (Ok false) (O.incremental_of_env "false");
+  Alcotest.(check bool) "incremental: yes rejected" true
+    (mentions "OLSQ2_INCREMENTAL=\"yes\"" (O.incremental_of_env "yes"))
+
 let suite =
   [
     ( "obs",
@@ -683,9 +699,10 @@ let suite =
       ] );
     ( "synthesis",
       [
-        Alcotest.test_case "facade = engine (depth)" `Quick test_facade_depth_equivalence;
-        Alcotest.test_case "facade = engine (tb swaps)" `Quick test_facade_tb_equivalence;
         Alcotest.test_case "report trace summary" `Quick test_facade_trace_summary;
         Alcotest.test_case "report solver stats" `Quick test_facade_stats_threading;
+        Alcotest.test_case "simplify runs on the encoder" `Quick test_simplify_routes_to_encoder;
+        Alcotest.test_case "config arm runs on the encoder" `Quick test_config_arm_routes_to_encoder;
+        Alcotest.test_case "environment default parsers" `Quick test_env_default_parsers;
       ] );
   ]

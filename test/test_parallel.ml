@@ -261,12 +261,12 @@ let test_budget_wall () =
 let test_budget_stops_optimizer () =
   let instance = qaoa_instance () in
   let budget = Budget.(unlimited |> with_conflicts 1) in
-  let o = Core.Optimizer.minimize_depth ~budget instance in
+  let workers n = Core.Synthesis.Options.with_workers n Synth.classic in
+  let o = Synth.depth ~options:(workers 1) ~budget instance in
   Alcotest.(check bool) "no optimality claim under 1-conflict budget" false
-    o.Core.Optimizer.optimal;
-  let pool = Pool.create ~workers:2 () in
-  let o2 = Core.Optimizer.minimize_depth ~budget ~pool instance in
-  Alcotest.(check bool) "parallel path honours the cap too" false o2.Core.Optimizer.optimal
+    o.Core.Synthesis.optimal;
+  let o2 = Synth.depth ~options:(workers 2) ~budget instance in
+  Alcotest.(check bool) "parallel path honours the cap too" false o2.Core.Synthesis.optimal
 
 let suite =
   [

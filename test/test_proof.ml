@@ -336,9 +336,9 @@ let test_certify_swaps_end_to_end () =
   | Some cert -> Alcotest.(check bool) "certificate valid" true (Certificate.valid cert)
 
 let optimal_depth instance =
-  let o = Core.Optimizer.minimize_depth instance in
-  Alcotest.(check bool) "depth optimum proved" true o.Core.Optimizer.optimal;
-  match o.Core.Optimizer.result with
+  let o = Synth.depth instance in
+  Alcotest.(check bool) "depth optimum proved" true o.Core.Synthesis.optimal;
+  match o.Core.Synthesis.result with
   | Some r -> r.Core.Result_.depth
   | None -> Alcotest.fail "no depth-optimal schedule found"
 

@@ -190,11 +190,11 @@ let prop_tb_valid_and_no_worse =
         let circuit = build_circuit spec in
         let inst = Core.Instance.make ~swap_duration:3 circuit dev in
         let sabre = Sabre.synthesize ~seed:1 inst in
-        let tb = Core.Optimizer.tb_minimize_swaps ~budget:(Core.Budget.of_seconds 60.0) inst in
-        (match tb.Core.Optimizer.tb_result with
+        let tb = Synth.tb_swaps ~budget:(Core.Budget.of_seconds 60.0) inst in
+        (match tb.Core.Synthesis.result with
         | Some r ->
-          Core.Validate.is_valid inst r.Core.Tb_encoder.expanded
-          && r.Core.Tb_encoder.swap_count <= sabre.Core.Result_.swap_count
+          Core.Validate.is_valid inst r
+          && r.Core.Result_.swap_count <= sabre.Core.Result_.swap_count
         | None -> true (* budget exhausted: no claim *)))
 
 (* property: QASM round trips preserve gate structure *)
@@ -253,7 +253,7 @@ let prop_depth_bounds =
       | Some (spec, dev) ->
         let circuit = build_circuit spec in
         let inst = Core.Instance.make ~swap_duration:3 circuit dev in
-        (match (Core.Optimizer.minimize_depth ~budget:(Core.Budget.of_seconds 60.0) inst).Core.Optimizer.result with
+        (match (Synth.depth ~budget:(Core.Budget.of_seconds 60.0) inst).Core.Synthesis.result with
         | Some r ->
           let sabre = Sabre.synthesize ~seed:1 inst in
           Core.Validate.is_valid inst r
