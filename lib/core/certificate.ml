@@ -1,5 +1,5 @@
-(* Optimality certificates: a validated model at the optimum plus a
-   checked DRAT refutation of the bound below it.  See the .mli for the
+(* Optimality certificates: the run's validated model at the optimum plus
+   a checked DRAT refutation of the bound below it.  See the .mli for the
    trust story. *)
 
 module Lit = Olsq2_sat.Lit
@@ -10,6 +10,8 @@ module Obs = Olsq2_obs.Obs
 module Stopwatch = Olsq2_util.Stopwatch
 
 type objective = Depth | Swaps_at_depth of int
+
+type formula = Session | Classic of Config.t
 
 type proof_check = {
   mode : Checker.mode;
@@ -32,8 +34,8 @@ type lower_bound = {
 type t = {
   objective : objective;
   optimum : int;
-  config : Config.t;
-  model : Result_.t option;
+  formula : formula;
+  model : Result_.t;
   model_valid : bool;
   violations : Validate.violation list;
   lower_bound : lower_bound option;
@@ -48,20 +50,110 @@ let objective_to_string = function
   | Depth -> "depth"
   | Swaps_at_depth d -> Printf.sprintf "swaps@depth<=%d" d
 
-(* The checker cannot replay theory lemmas, so certification always runs a
-   pure-CNF encoding; the certified claim is about the instance.  Symmetry
-   breaking is stripped too: a DRAT refutation of the orbit-restricted CNF
-   certifies only the restricted problem, and the checker has no way to
-   replay the automorphism argument that lifts it to the full one. *)
-let pure_sat_config (config : Config.t) =
-  let config = { config with Config.symmetry = false } in
-  match config.Config.var_encoding with
-  | Config.Lazy_int -> { config with Config.var_encoding = Config.Binary }
-  | Config.Onehot | Config.Binary -> config
+let formula_to_string = function
+  | Session -> "horizon-extension session"
+  | Classic config -> "classic " ^ Config.name config
+
+(* ---- the refutation half ---- *)
+
+type oracle = {
+  solver : Solver.t;
+  solve : Lit.t list -> Solver.result;
+  depth_selector : int -> Lit.t;
+  swap_bound : int -> Lit.t option;
+  provenance : unit -> (string * int) list;
+}
+
+type attempt =
+  | Trivial (* no better bound exists *)
+  | Refuted of { bound : int; core : Lit.t list }
+  | Not_refuted of lower_bound (* never accepted *)
+
+type refutation = {
+  r_objective : objective;
+  r_optimum : int;
+  r_formula : formula;
+  r_attempt : attempt;
+  r_provenance : (string * int) list;
+  r_seconds : float;
+}
+
+(* Both halves run inside a [certificate.build] span; [f] returns its
+   value and the span's closing attributes. *)
+let build_span ~stage ~objective ~optimum ~formula f =
+  let obs = Obs.global () in
+  if not (Obs.enabled obs) then fst (f ())
+  else begin
+    let sp =
+      Obs.begin_span obs "certificate.build"
+        ~attrs:
+          [
+            ("stage", Obs.Str stage);
+            ("objective", Obs.Str (objective_to_string objective));
+            ("optimum", Obs.Int optimum);
+            ("formula", Obs.Str (formula_to_string formula));
+          ]
+    in
+    match f () with
+    | v, attrs ->
+      Obs.end_span obs sp ~attrs;
+      v
+    | exception e ->
+      Obs.end_span obs sp;
+      raise e
+  end
+
+let not_refuted bound detail =
+  Not_refuted { bound; core_size = 0; check = None; accepted = false; detail }
+
+let refute objective ~optimum ~formula make_oracle =
+  let clock = Stopwatch.start () in
+  build_span ~stage:"refute" ~objective ~optimum ~formula @@ fun () ->
+  let o = make_oracle () in
+  let query =
+    match objective with
+    | Depth ->
+      if optimum <= 1 then None else Some (optimum - 1, Some [ o.depth_selector (optimum - 1) ])
+    | Swaps_at_depth d ->
+      if optimum = 0 then None
+      else
+        Some
+          (optimum - 1, Option.map (fun b -> [ o.depth_selector d; b ]) (o.swap_bound (optimum - 1)))
+  in
+  let attempt =
+    match query with
+    | None -> Trivial
+    | Some (bound, None) ->
+      not_refuted bound "swap bound below the optimum is not expressible by the counter"
+    | Some (bound, Some assumptions) -> (
+      match o.solve assumptions with
+      | Solver.Unsat -> Refuted { bound; core = Solver.unsat_core o.solver }
+      | Solver.Sat ->
+        not_refuted bound
+          (Printf.sprintf "bound %d is satisfiable: the claimed optimum is not optimal" bound)
+      | Solver.Unknown r ->
+        not_refuted bound
+          (Printf.sprintf "refutation of bound %d incomplete: %s" bound (Solver.reason_to_string r)))
+  in
+  let verdict =
+    match attempt with Trivial -> "trivial" | Refuted _ -> "unsat" | Not_refuted _ -> "not refuted"
+  in
+  ( {
+      r_objective = objective;
+      r_optimum = optimum;
+      r_formula = formula;
+      r_attempt = attempt;
+      r_provenance = o.provenance ();
+      r_seconds = Stopwatch.elapsed clock;
+    },
+    [ ("refutation", Obs.Str verdict) ] )
+
+(* ---- the check half ---- *)
 
 (* Run the trusted checker on the sink's contents; the goal clause is the
    negated assumption core (empty core = the database itself is unsat,
-   where the goal degenerates to the empty clause). *)
+   where the goal degenerates to the empty clause).  The checker takes
+   ownership of the formula's clause arrays. *)
 let run_check ~mode ~sink ~goal =
   let obs = Obs.global () in
   let formula = Drat.formula sink in
@@ -70,6 +162,8 @@ let run_check ~mode ~sink ~goal =
   let report =
     if not (Obs.enabled obs) then do_check ()
     else begin
+      Obs.count obs "proof.additions" (Drat.additions sink);
+      Obs.count obs "proof.deletions" (Drat.deletions sink);
       let sp =
         Obs.begin_span obs "proof.check"
           ~attrs:
@@ -106,202 +200,133 @@ let write_proof_file path sink =
   Drat.write_channel Drat.Text oc sink;
   close_out oc
 
-(* Refute the bound selected by [assumptions]; on UNSAT, turn the failed
-   assumptions into a goal lemma and run the checker over the emitted
-   proof.  The logger is detached afterwards either way, so the later
-   model search is not logged. *)
-let refute_and_check ~mode ~sink ~bound ?budget enc assumptions =
-  let solver = Encoder.solver enc in
-  let obs = Obs.global () in
-  let finish lb =
-    Drat.detach solver;
-    Some lb
-  in
-  match Encoder.solve ~assumptions ?timeout:budget enc with
-  | Solver.Unsat ->
-    let core = Solver.unsat_core solver in
-    Drat.detach solver;
-    if Obs.enabled obs then begin
-      Obs.count obs "proof.additions" (Drat.additions sink);
-      Obs.count obs "proof.deletions" (Drat.deletions sink);
-      Obs.instant obs "proof.emitted"
-        ~attrs:
-          [
-            ("additions", Obs.Int (Drat.additions sink));
-            ("deletions", Obs.Int (Drat.deletions sink));
-            ("core_size", Obs.Int (List.length core));
-          ]
-    end;
-    let goal = Array.of_list (List.map Lit.negate core) in
-    let check = run_check ~mode ~sink ~goal in
-    let accepted = check.verdict = Checker.Valid in
-    Some
-      {
-        bound;
-        core_size = List.length core;
-        check = Some check;
-        accepted;
-        detail =
-          (if accepted then
-             Printf.sprintf "bound %d refuted; %s check accepted the proof" bound
-               (Checker.mode_to_string mode)
-           else
-             Printf.sprintf "bound %d refuted but the checker rejected the proof: %s" bound
-               (Checker.verdict_to_string check.verdict));
-      }
-  | Solver.Sat ->
-    finish
-      {
-        bound;
-        core_size = 0;
-        check = None;
-        accepted = false;
-        detail = Printf.sprintf "bound %d is satisfiable: the claimed optimum is not optimal" bound;
-      }
-  | Solver.Unknown r ->
-    finish
-      {
-        bound;
-        core_size = 0;
-        check = None;
-        accepted = false;
-        detail = Printf.sprintf "refutation of bound %d incomplete: %s" bound (Solver.reason_to_string r);
-      }
+let check_refuted ~mode ~sink ~bound core =
+  let goal = Array.of_list (List.map Lit.negate core) in
+  let check = run_check ~mode ~sink ~goal in
+  let accepted = check.verdict = Checker.Valid in
+  {
+    bound;
+    core_size = List.length core;
+    check = Some check;
+    accepted;
+    detail =
+      (if accepted then
+         Printf.sprintf "bound %d refuted; %s check accepted the proof" bound
+           (Checker.mode_to_string mode)
+       else
+         Printf.sprintf "bound %d refuted but the checker rejected the proof: %s" bound
+           (Checker.verdict_to_string check.verdict));
+  }
 
-(* Common driver: build a logged encoder, refute the bound below the
-   optimum, then find and validate a model at the optimum. *)
-let certify_common ~objective ~optimum ~config ~budget ~proof_file ~make_refutation
-    ~model_assumptions ~model_ok instance ~t_max =
+let finish ?(mode = Checker.Backward) ?proof_file ~sink instance (model : Result_.t) r =
   let clock = Stopwatch.start () in
-  let obs = Obs.global () in
-  let run () =
-    let sink = Drat.create () in
-    let enc = Encoder.build ~config ~proof:(Drat.logger sink) instance ~t_max in
-    let lower_bound = make_refutation ~sink enc in
-    (match proof_file with None -> () | Some path -> write_proof_file path sink);
-    (* the refutation path detaches the logger; make sure it is off even
-       when no refutation was needed *)
-    Drat.detach (Encoder.solver enc);
-    let model, model_valid, violations =
-      match Encoder.solve ~assumptions:(model_assumptions enc) ?timeout:budget enc with
-      | Solver.Sat ->
-        let res = Encoder.extract ~status:Result_.Optimal enc in
-        let violations = Validate.check instance res in
-        (Some res, violations = [] && model_ok res, violations)
-      | Solver.Unsat | Solver.Unknown _ -> (None, false, [])
-    in
+  build_span ~stage:"check" ~objective:r.r_objective ~optimum:r.r_optimum ~formula:r.r_formula
+  @@ fun () ->
+  (match proof_file with None -> () | Some path -> write_proof_file path sink);
+  let violations = Validate.check instance model in
+  let within =
+    match r.r_objective with
+    | Depth -> model.Result_.depth <= r.r_optimum
+    | Swaps_at_depth d -> model.Result_.depth <= d && model.Result_.swap_count <= r.r_optimum
+  in
+  let lower_bound =
+    match r.r_attempt with
+    | Trivial -> None
+    | Not_refuted lb -> Some lb
+    | Refuted { bound; core } -> Some (check_refuted ~mode ~sink ~bound core)
+  in
+  let cert =
     {
-      objective;
-      optimum;
-      config;
+      objective = r.r_objective;
+      optimum = r.r_optimum;
+      formula = r.r_formula;
       model;
-      model_valid;
+      model_valid = violations = [] && within;
       violations;
       lower_bound;
-      provenance = Encoder.provenance enc;
-      seconds = Stopwatch.elapsed clock;
+      provenance = r.r_provenance;
+      seconds = r.r_seconds +. Stopwatch.elapsed clock;
     }
   in
-  if not (Obs.enabled obs) then run ()
-  else begin
-    let sp =
-      Obs.begin_span obs "certificate.build"
-        ~attrs:
-          [
-            ("objective", Obs.Str (objective_to_string objective));
-            ("optimum", Obs.Int optimum);
-            ("config", Obs.Str (Config.name config));
-          ]
-    in
-    let cert = run () in
-    Obs.end_span obs sp
-      ~attrs:
-        [
-          ("valid", Obs.Bool (valid cert));
-          ("model_valid", Obs.Bool cert.model_valid);
-          ( "lower_bound",
-            Obs.Str
-              (match cert.lower_bound with
-              | None -> "trivial"
-              | Some lb -> if lb.accepted then "checked" else "failed") );
-        ];
-    cert
-  end
+  ( cert,
+    [
+      ("valid", Obs.Bool (valid cert));
+      ("model_valid", Obs.Bool cert.model_valid);
+      ( "lower_bound",
+        Obs.Str
+          (match cert.lower_bound with
+          | None -> "trivial"
+          | Some lb -> if lb.accepted then "checked" else "failed") );
+    ] )
 
-let certify_depth ?(config = Config.default) ?budget ?(mode = Checker.Backward) ?proof_file
-    instance ~depth =
-  if depth < 1 then invalid_arg "Certificate.certify_depth: depth must be positive";
+(* ---- the classic fallback ---- *)
+
+(* The checker cannot replay theory lemmas, so the fallback always runs a
+   pure-CNF encoding; the certified claim is about the instance.  Symmetry
+   breaking is stripped too: a DRAT refutation of the orbit-restricted CNF
+   certifies only the restricted problem, and the checker has no way to
+   replay the automorphism argument that lifts it to the full one. *)
+let pure_sat_config (config : Config.t) =
+  let config = { config with Config.symmetry = false } in
+  match config.Config.var_encoding with
+  | Config.Lazy_int -> { config with Config.var_encoding = Config.Binary }
+  | Config.Onehot | Config.Binary -> config
+
+(* Refute the bound below the optimum on a fresh proof-logged classic
+   encoder of horizon [depth + 1], under what is left of the run's
+   budget, then check it against the run's model. *)
+let classic ~config ~budget ~mode ~proof_file instance model objective ~depth ~optimum =
   let config = pure_sat_config config in
-  let make_refutation ~sink enc =
-    if depth <= 1 then begin
-      (* no schedule takes fewer than one step: nothing to refute *)
-      Drat.detach (Encoder.solver enc);
-      None
-    end
-    else begin
-      let sel = Encoder.depth_selector enc (depth - 1) in
-      refute_and_check ~mode ~sink ~bound:(depth - 1) ?budget enc [ sel ]
-    end
+  let sink = Drat.create () in
+  let timeout () =
+    Option.bind budget (fun st ->
+        let left = Budget.remaining_seconds st in
+        if left < infinity then Some left else None)
   in
-  let model_assumptions enc = [ Encoder.depth_selector enc depth ] in
-  let model_ok (res : Result_.t) = res.Result_.depth <= depth in
-  certify_common ~objective:Depth ~optimum:depth ~config ~budget ~proof_file ~make_refutation
-    ~model_assumptions ~model_ok instance ~t_max:(depth + 1)
+  let refutation =
+    refute objective ~optimum ~formula:(Classic config) (fun () ->
+        let enc = Encoder.build ~config ~proof:(Drat.logger sink) instance ~t_max:(depth + 1) in
+        let solver = Encoder.solver enc in
+        Option.iter (fun st -> Budget.attach st solver) budget;
+        (match objective with
+        | Swaps_at_depth _ -> Encoder.build_counter enc ~max_bound:(max optimum 1)
+        | Depth -> ());
+        {
+          solver;
+          solve = (fun assumptions -> Encoder.solve ~assumptions ?timeout:(timeout ()) enc);
+          depth_selector = Encoder.depth_selector enc;
+          swap_bound = Encoder.swap_bound_assumption enc;
+          provenance = (fun () -> Encoder.provenance enc);
+        })
+  in
+  finish ?mode ?proof_file ~sink instance model refutation
 
-let certify_swaps ?(config = Config.default) ?budget ?(mode = Checker.Backward) ?proof_file
-    instance ~depth ~swaps =
+let certify_depth ?(config = Config.default) ?budget ?mode ?proof_file instance model ~depth =
+  if depth < 1 then invalid_arg "Certificate.certify_depth: depth must be positive";
+  classic ~config ~budget ~mode ~proof_file instance model Depth ~depth ~optimum:depth
+
+let certify_swaps ?(config = Config.default) ?budget ?mode ?proof_file instance model ~depth
+    ~swaps =
   if depth < 1 then invalid_arg "Certificate.certify_swaps: depth must be positive";
   if swaps < 0 then invalid_arg "Certificate.certify_swaps: negative swap count";
-  let config = pure_sat_config config in
-  let make_refutation ~sink enc =
-    Encoder.build_counter enc ~max_bound:(max swaps 1);
-    if swaps = 0 then begin
-      (* a SWAP count of zero is trivially minimal *)
-      Drat.detach (Encoder.solver enc);
-      None
-    end
-    else begin
-      let sel = Encoder.depth_selector enc depth in
-      match Encoder.swap_bound_assumption enc (swaps - 1) with
-      | Some b -> refute_and_check ~mode ~sink ~bound:(swaps - 1) ?budget enc [ sel; b ]
-      | None ->
-        Drat.detach (Encoder.solver enc);
-        Some
-          {
-            bound = swaps - 1;
-            core_size = 0;
-            check = None;
-            accepted = false;
-            detail = "swap bound below the optimum is not expressible by the counter";
-          }
-    end
-  in
-  let model_assumptions enc =
-    let sel = Encoder.depth_selector enc depth in
-    match Encoder.swap_bound_assumption enc swaps with Some b -> [ sel; b ] | None -> [ sel ]
-  in
-  let model_ok (res : Result_.t) =
-    res.Result_.depth <= depth && res.Result_.swap_count <= swaps
-  in
-  certify_common ~objective:(Swaps_at_depth depth) ~optimum:swaps ~config ~budget ~proof_file
-    ~make_refutation ~model_assumptions ~model_ok instance ~t_max:(depth + 1)
+  classic ~config ~budget ~mode ~proof_file instance model (Swaps_at_depth depth) ~depth
+    ~optimum:swaps
 
 let to_string t =
   let buf = Buffer.create 256 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "certificate: %s = %d (%s) -- %s\n" (objective_to_string t.objective) t.optimum
-    (Config.name t.config)
+    (formula_to_string t.formula)
     (if valid t then "VALID" else "NOT CERTIFIED");
-  (match t.model with
-  | Some res ->
-    add "  model: depth=%d swaps=%d, validation %s\n" res.Result_.depth res.Result_.swap_count
-      (if t.model_valid then "passed"
-       else
-         Printf.sprintf "FAILED (%d violations)%s" (List.length t.violations)
-           (match t.violations with
-           | v :: _ -> ": " ^ Validate.violation_to_string v
-           | [] -> ""))
-  | None -> add "  model: NOT FOUND at the claimed optimum\n");
+  add "  model: depth=%d swaps=%d, validation %s\n" t.model.Result_.depth
+    t.model.Result_.swap_count
+    (if t.model_valid then "passed"
+     else
+       match t.violations with
+       | v :: _ ->
+         Printf.sprintf "FAILED (%d violations): %s" (List.length t.violations)
+           (Validate.violation_to_string v)
+       | [] -> "FAILED (exceeds the claimed optimum)");
   (match t.lower_bound with
   | None -> add "  lower bound: trivial (no better bound exists)\n"
   | Some lb ->

@@ -3,26 +3,32 @@
     An optimality claim from the solving stack has two halves, and this
     module makes both independently checkable:
 
-    - {b achievability}: a model at the claimed optimum, validated against
-      the paper's §II-A conditions by {!Validate} (which trusts neither
-      the encoder nor the solver);
+    - {b achievability}: the run's own model at the claimed optimum,
+      validated against the paper's §II-A conditions by {!Validate}
+      (which trusts neither the encoder nor the solver);
     - {b a lower bound}: a DRAT proof, emitted by the solver while
       refuting the next-better bound and verified by the trusted
       {!Olsq2_proof.Checker}, that the bound below the optimum is
       unsatisfiable.
 
-    Certification re-solves the instance on a fresh encoder with proof
-    logging attached from the first clause, rather than logging the whole
-    optimization run: the optimizer is free to use an incremental session,
-    a cube-and-conquer pool or theory-guided configurations whose lemmas a pure CNF checker could not
-    replay.  Lazy-integer configurations are therefore substituted with
-    the bit-vector encoding — the certified statement is about the
-    instance, not about any particular encoding.
+    On the default path the refutation runs on the formula that found
+    the optimum: the horizon-extension session is proof-logged from its
+    first clause, and after the refinement loop the bound below the
+    optimum is refuted on that same solver ({!refute}), whose learnt
+    clauses make it cheap.  The check ({!finish}) runs later, once the
+    session can be garbage-collected.  DESIGN.md gives the trust
+    argument for the session's horizon-retirement units.
 
-    Refuting bound [b-1] on a horizon of [b+1] steps certifies "no
-    schedule of depth < b exists at any horizon", because any schedule of
-    depth at most [b-1] embeds unchanged into every horizon of at least
-    [b-1] steps. *)
+    Runs whose formula the checker cannot take as it stands — the
+    classic encoder's non-default arms and simplification, symmetry
+    breaking, the cube-and-conquer pool — fall back to {!certify_depth}
+    / {!certify_swaps}: a fresh proof-logged pure-CNF classic encoder
+    refutes the bound below (lazy-integer configurations are substituted
+    with the bit-vector encoding, and symmetry is stripped), so the
+    certified statement is about the instance.  Refuting bound [b-1] on
+    a horizon of [b+1] steps certifies "no schedule of depth < b exists
+    at any horizon", because any schedule of depth at most [b-1] embeds
+    unchanged into every horizon of at least [b-1] steps. *)
 
 module Checker = Olsq2_proof.Checker
 
@@ -49,12 +55,17 @@ type lower_bound = {
   detail : string;
 }
 
+(** The formula the lower-bound proof refutes. *)
+type formula =
+  | Session  (** the run's own horizon-extension session *)
+  | Classic of Config.t  (** a fresh classic encoder in this configuration *)
+
 type t = {
   objective : objective;
   optimum : int;
-  config : Config.t;  (** certification configuration (always pure SAT) *)
-  model : Result_.t option;  (** validated model at the optimum *)
-  model_valid : bool;
+  formula : formula;  (** which formula was certified *)
+  model : Result_.t;  (** the run's model at the optimum *)
+  model_valid : bool;  (** validated, and within the claimed optimum *)
   violations : Validate.violation list;
   lower_bound : lower_bound option;  (** [None] when trivially minimal *)
   provenance : (string * int) list;  (** premise clause counts by constraint group *)
@@ -71,29 +82,76 @@ val objective_to_string : objective -> string
 (** Multi-line human-readable summary. *)
 val to_string : t -> string
 
-(** [certify_depth instance ~depth] certifies that [depth] is the minimal
-    circuit depth: validated model at [depth], checked UNSAT proof for
-    [depth - 1].  [proof_file] additionally writes the emitted DRAT proof
-    (text format) to disk.  [mode] picks the checking strategy (default
-    [Backward]).  [budget] bounds each of the two solver calls
-    (seconds). *)
+val formula_to_string : formula -> string
+
+(** {2 Certifying a live solver}
+
+    What {!refute} needs from a proof-logged encoding whose logger was
+    installed before its first clause. *)
+type oracle = {
+  solver : Olsq2_sat.Solver.t;
+  solve : Olsq2_sat.Lit.t list -> Olsq2_sat.Solver.result;
+      (** solve under these bound assumptions (the caller's budget) *)
+  depth_selector : int -> Olsq2_sat.Lit.t;
+  swap_bound : int -> Olsq2_sat.Lit.t option;
+      (** at-most-[k] SWAPs assumption; a counter must exist *)
+  provenance : unit -> (string * int) list;
+}
+
+(** A lower-bound refutation that has run but is not yet checked.  It
+    holds no reference to the solver. *)
+type refutation
+
+(** [refute objective ~optimum ~formula make_oracle] builds the oracle
+    and refutes the bound below [optimum]: depth [optimum - 1] for
+    [Depth], or [optimum - 1] SWAPs at depth [d] for [Swaps_at_depth d].
+    Runs inside a [certificate.build] span. *)
+val refute : objective -> optimum:int -> formula:formula -> (unit -> oracle) -> refutation
+
+(** [finish ~sink instance model r] validates [model] against the claim
+    and runs the trusted checker over [sink] (the proof [r] was logged
+    into), in a [certificate.build] span.  [mode] defaults to
+    [Backward]; [proof_file] writes the sink's steps (text format).  The
+    checker takes ownership of the sink's premise clauses and may
+    permute their literals. *)
+val finish :
+  ?mode:Checker.mode ->
+  ?proof_file:string ->
+  sink:Olsq2_proof.Drat.sink ->
+  Instance.t ->
+  Result_.t ->
+  refutation ->
+  t
+
+(** {2 The classic fallback} *)
+
+(** [certify_depth instance model ~depth] certifies that [depth] is the
+    minimal circuit depth: [model] validated at [depth], checked UNSAT
+    proof for [depth - 1] on a fresh classic encoder.  [proof_file]
+    additionally writes the emitted DRAT proof (text format) to disk.
+    [mode] picks the checking strategy (default [Backward]).  [budget]
+    is the run's running budget: the refutation gets what is left of it
+    and is attached to its preemption control. *)
 val certify_depth :
   ?config:Config.t ->
-  ?budget:float ->
+  ?budget:Budget.state ->
   ?mode:Checker.mode ->
   ?proof_file:string ->
   Instance.t ->
+  Result_.t ->
   depth:int ->
   t
 
-(** [certify_swaps instance ~depth ~swaps] certifies that [swaps] is the
-    minimal SWAP count among schedules of depth at most [depth]. *)
+(** [certify_swaps instance model ~depth ~swaps] certifies that [swaps]
+    is the minimal SWAP count among schedules of depth at most
+    [depth]. *)
 val certify_swaps :
   ?config:Config.t ->
-  ?budget:float ->
+  ?budget:Budget.state ->
   ?mode:Checker.mode ->
   ?proof_file:string ->
   Instance.t ->
+  Result_.t ->
   depth:int ->
   swaps:int ->
   t

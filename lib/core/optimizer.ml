@@ -172,6 +172,7 @@ type outcome = {
   pareto : (int * int) list; (* (depth bound, best swaps proven at it) *)
   stats : Solver.stats; (* aggregate over all bound iterations *)
   iter_stats : iter_stat list; (* per bound iteration, oldest first *)
+  refutation : Certificate.refutation option;
 }
 
 let outcome (run : run) ?result ~optimal pareto =
@@ -183,6 +184,7 @@ let outcome (run : run) ?result ~optimal pareto =
     pareto;
     stats = run.agg;
     iter_stats = List.rev run.iters;
+    refutation = None;
   }
 
 (* Next depth bound after UNSAT (paper §III-B-1). *)
@@ -243,15 +245,16 @@ type oracle = {
   model_swap_count : unit -> int;
   model_weighted_cost : weights:(int -> int) -> int;
   extract : status:Result_.status -> solve_seconds:float -> iterations:int -> Result_.t;
+  provenance : unit -> (string * int) list;
 }
 
 (* One persistent session: horizon growth emits only the delta CNF, so
    learnt clauses survive it.  The session encoding is plain CNF, hence
    always pool-capable; a raw pool solve must carry the horizon's
-   activation literal. *)
-let session_oracle run ~config instance ~t_max =
+   activation literal.  [proof] logs the session from its first clause. *)
+let session_oracle ?proof run ~config instance ~t_max =
   let sess =
-    Session.create ~symmetry:config.Config.symmetry ~t_max
+    Session.create ~symmetry:config.Config.symmetry ?proof ~t_max
       ~swap_duration:instance.Instance.swap_duration instance.Instance.circuit
       instance.Instance.device
   in
@@ -291,6 +294,7 @@ let session_oracle run ~config instance ~t_max =
     model_swap_count = (fun () -> Session.model_swap_count sess);
     model_weighted_cost = Session.model_weighted_cost sess;
     extract;
+    provenance = (fun () -> Session.provenance sess);
   }
 
 (* The classic encoder honours every [config] arm (formulation, variable
@@ -325,6 +329,7 @@ let encoder_oracle run ~config instance ~t_max =
     extract =
       (fun ~status ~solve_seconds ~iterations ->
         Encoder.extract ~status ~solve_seconds ~iterations !enc);
+    provenance = (fun () -> Encoder.provenance !enc);
   }
 
 (* The oracle's current model as a result. *)
@@ -597,10 +602,48 @@ type objective =
   | Tb_blocks
   | Tb_swaps
 
-let optimize ~config ~incremental ~budget ?pool objective instance =
+(* The certificate claim an optimal result makes: depth, or SWAPs at
+   the result's depth.  Weighted and TB objectives have no direct CNF
+   bound to refute. *)
+let certified_claim objective (res : Result_.t) =
+  match objective with
+  | Depth -> Some (Certificate.Depth, res.Result_.depth)
+  | Swaps _ -> Some (Certificate.Swaps_at_depth res.Result_.depth, res.Result_.swap_count)
+  | Weighted_swaps _ | Tb_blocks | Tb_swaps -> None
+
+(* Refute the bound below a proved optimum on the oracle's own solver.
+   The budget-charged [solve] is called directly, not through
+   [iter_span], so the run's iteration count and search statistics do
+   not change; the learnt clauses of the whole run make the query cheap,
+   including at [d = T_LB], where the loop never tried [d - 1]. *)
+let refute_on o objective (out : outcome) =
+  match out.result with
+  | Some res when out.optimal -> (
+    match certified_claim objective res with
+    | None -> out
+    | Some (claim, optimum) ->
+      let refutation =
+        Certificate.refute claim ~optimum ~formula:Certificate.Session (fun () ->
+            (match claim with
+            | Certificate.Swaps_at_depth _ -> o.build_counter ~max_bound:(max optimum 1)
+            | Certificate.Depth -> ());
+            {
+              Certificate.solver = o.solver ();
+              solve = o.solve;
+              depth_selector = o.depth_selector;
+              swap_bound = o.swap_bound_assumption;
+              provenance = o.provenance;
+            })
+      in
+      { out with refutation = Some refutation })
+  | Some _ | None -> out
+
+let optimize ~config ~incremental ~budget ?pool ?proof objective instance =
+  if proof <> None && ((not incremental) || pool <> None) then
+    invalid_arg "Optimizer.optimize: proof logging needs the session oracle and no pool";
   let run =
     {
-      st = Budget.start budget;
+      st = budget;
       pool;
       clock = Stopwatch.start ();
       iterations = 0;
@@ -611,15 +654,23 @@ let optimize ~config ~incremental ~budget ?pool objective instance =
   let t_lb = max 1 (Instance.depth_lower_bound instance) in
   let oracle config =
     let t_max = max (t_lb + 1) (Instance.depth_upper_bound instance) in
-    (if incremental then session_oracle else encoder_oracle) run ~config instance ~t_max
+    if incremental then session_oracle ?proof run ~config instance ~t_max
+    else encoder_oracle run ~config instance ~t_max
   in
+  let certify o out = match proof with Some _ -> refute_on o objective out | None -> out in
   match objective with
-  | Depth -> (
-    match minimize_depth run (oracle config) ~t_lb with
-    | None -> outcome run ~optimal:false []
-    | Some (d, optimal, result) ->
-      outcome run ~result ~optimal [ (d, result.Result_.swap_count) ])
-  | Swaps { warm_start } -> minimize_swaps run (oracle config) ~t_lb ~warm_start
+  | Depth ->
+    let o = oracle config in
+    let out =
+      match minimize_depth run o ~t_lb with
+      | None -> outcome run ~optimal:false []
+      | Some (d, optimal, result) ->
+        outcome run ~result ~optimal [ (d, result.Result_.swap_count) ]
+    in
+    certify o out
+  | Swaps { warm_start } ->
+    let o = oracle config in
+    certify o (minimize_swaps run o ~t_lb ~warm_start)
   | Weighted_swaps weights ->
     (* orbit symmetry breaking is unsound under per-edge weights: distinct
        members of an edge orbit can carry different costs *)

@@ -66,25 +66,39 @@ type outcome = {
           accepted block model's (blocks, SWAPs) *)
   stats : Olsq2_sat.Solver.stats;  (** aggregate search effort of this run *)
   iter_stats : iter_stat list;  (** per bound iteration, oldest first *)
+  refutation : Certificate.refutation option;
+      (** with [proof], the bound below a proved optimum refuted on the
+          session's own solver, awaiting {!Certificate.finish} *)
 }
 
-(** [optimize ~config ~incremental ~budget ?pool objective instance] runs
-    the refinement loop for [objective].  [incremental] picks the bound
-    oracle for the full-model objectives: one persistent session (which
-    ignores [config]'s formulation/encoding/simplify arms) or the classic
-    encoder rebuilt per horizon (which honours them); TB objectives
-    rebuild per block count either way.  [budget] is started once, so the
-    deadline is fixed across the whole refinement.  [pool], when given
-    and the encoding is plain CNF, solves bound queries cube-and-conquer
-    style; replica effort is merged into the master's stats, so
-    [iter_stats] and the conflict budget account for it.  Weighted
-    objectives force [config.symmetry] off (orbit members can carry
-    different weights). *)
+(** The certificate claim an optimal [Depth] or [Swaps] result makes:
+    its depth, or its SWAP count at its depth.  [None] for weighted and
+    TB objectives, which have no direct CNF bound to refute. *)
+val certified_claim : objective -> Result_.t -> (Certificate.objective * int) option
+
+(** [optimize ~config ~incremental ~budget ?pool ?proof objective
+    instance] runs the refinement loop for [objective].  [incremental]
+    picks the bound oracle for the full-model objectives: one persistent
+    session (which ignores [config]'s formulation/encoding/simplify arms)
+    or the classic encoder rebuilt per horizon (which honours them); TB
+    objectives rebuild per block count either way.  [budget] is the
+    run's started budget, so the deadline is fixed across the whole
+    refinement and anything run after it.  [pool], when given and the
+    encoding is plain CNF, solves bound queries cube-and-conquer style;
+    replica effort is merged into the master's stats, so [iter_stats]
+    and the conflict budget account for it.  [proof] is installed on the
+    session before its first clause; after a proved-optimal [Depth] or
+    [Swaps] run, the bound below the optimum is refuted on the same
+    solver (outside the iteration count) and returned as [refutation].
+    It needs [incremental] and no [pool] ([Invalid_argument]
+    otherwise).  Weighted objectives force [config.symmetry] off (orbit
+    members can carry different weights). *)
 val optimize :
   config:Config.t ->
   incremental:bool ->
-  budget:Budget.t ->
+  budget:Budget.state ->
   ?pool:Olsq2_parallel.Pool.t ->
+  ?proof:Olsq2_sat.Solver.proof_logger ->
   objective ->
   Instance.t ->
   outcome

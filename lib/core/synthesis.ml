@@ -5,6 +5,7 @@
 
 module Obs = Olsq2_obs.Obs
 module Pool = Olsq2_parallel.Pool
+module Drat = Olsq2_proof.Drat
 
 module Options = struct
   type parallel = { workers : int; share : bool; cube_depth : int option }
@@ -300,44 +301,35 @@ let of_outcome (o : Optimizer.outcome) ~trace =
     certificate = None;
   }
 
-(* Certificates exist for the objectives with an exact SAT-level bound
-   semantics: depth, and swaps-at-fixed-depth.  Weighted and TB objectives
-   have no direct CNF bound to refute (weighted counts repeat literals; TB
-   optimality is per-block), so they return no certificate. *)
+(* The classic fallback: a fresh proof-logged pure-CNF encoder refutes
+   the bound below the run's optimum, under what is left of the run's
+   budget and attached to its preemption control. *)
 let certificate_for ~config ~budget ~objective ~proof_file (report : report) instance =
   match report.result with
-  | None -> None
-  | Some res ->
-    if not report.optimal then None
-    else (
-      match objective with
-      | Depth ->
-        Some
-          (Certificate.certify_depth ~config ?budget ?proof_file instance
-             ~depth:res.Result_.depth)
-      | Swaps _ ->
-        Some
-          (Certificate.certify_swaps ~config ?budget ?proof_file instance
-             ~depth:res.Result_.depth ~swaps:res.Result_.swap_count)
-      | Weighted_swaps _ | Tb_blocks | Tb_swaps -> None)
+  | Some res when report.optimal -> (
+    match Optimizer.certified_claim objective res with
+    | Some (Certificate.Depth, depth) ->
+      Some (Certificate.certify_depth ~config ~budget ?proof_file instance res ~depth)
+    | Some (Certificate.Swaps_at_depth depth, swaps) ->
+      Some (Certificate.certify_swaps ~config ~budget ?proof_file instance res ~depth ~swaps)
+    | None -> None)
+  | Some _ | None -> None
 
 let run ?(options = Options.default) ~objective instance =
   (* [simplify] overrides the config's flag, so callers can toggle
      preprocessing without assembling a Config by hand; the override also
-     reaches the certification re-solve below through [config]. *)
+     reaches the certification fallback below through [config]. *)
   let config =
     match options.Options.simplify with
     | None -> options.Options.config
     | Some b -> { options.Options.config with Config.simplify = b }
   in
-  let budget = options.Options.budget in
+  let budget = Budget.start options.Options.budget in
   let par = options.Options.parallel in
   Olsq2_sat.Tuning.with_ambient options.Options.sat @@ fun () ->
   (* The pool parallelizes single bound queries (cube-and-conquer over
      worker domains); it is created per run and passed down so every
-     refinement loop can route its hard queries through it.  Certification
-     is untouched: it re-solves on fresh sequential proof-logged encoders,
-     and Pool.solve refuses proof-logging masters anyway. *)
+     refinement loop can route its hard queries through it. *)
   let pool =
     if par.Options.workers > 1 then
       Some
@@ -355,16 +347,36 @@ let run ?(options = Options.default) ~objective instance =
     options.Options.incremental
     && { config with Config.symmetry = Config.default.Config.symmetry } = Config.default
   in
+  (* Certification on the session proof-logs it from its first clause
+     and refutes the bound below the optimum on the same solver.  The
+     checker replays a plain CNF log: orbit-restricted formulas and
+     pool-solved queries (Pool.solve refuses proof-logging masters) go
+     to the classic fallback instead. *)
+  let sink =
+    match objective with
+    | (Depth | Swaps _)
+      when options.Options.certify && incremental && pool = None && not config.Config.symmetry ->
+      Some (Drat.create ())
+    | Depth | Swaps _ | Weighted_swaps _ | Tb_blocks | Tb_swaps -> None
+  in
   let outcome =
     Obs.with_span obs ("synthesis." ^ objective_name objective) (fun () ->
-        Optimizer.optimize ~config ~incremental ~budget ?pool objective instance)
+        Optimizer.optimize ~config ~incremental ~budget ?pool
+          ?proof:(Option.map Drat.logger sink) objective instance)
   in
   let report = of_outcome outcome ~trace:Obs.empty_summary in
+  (* The check runs here, after [optimize] returned: the session's solver
+     is garbage by now, so it and the checker's clause database are never
+     alive together. *)
+  let proof_file = options.Options.proof_file in
   let certificate =
-    if options.Options.certify then
-      certificate_for ~config ~budget:budget.Budget.wall_seconds ~objective
-        ~proof_file:options.Options.proof_file report instance
-    else None
+    match (options.Options.certify, sink) with
+    | false, _ -> None
+    | true, Some sink -> (
+      match (outcome.Optimizer.refutation, report.result) with
+      | Some r, Some res -> Some (Certificate.finish ?proof_file ~sink instance res r)
+      | Some _, None | None, _ -> None)
+    | true, None -> certificate_for ~config ~budget ~objective ~proof_file report instance
   in
   let trace = if Obs.enabled obs then Obs.summary ?since obs else Obs.empty_summary in
   { report with trace; certificate }

@@ -84,13 +84,18 @@ module Options : sig
         (** when [Some b], overrides [config]'s [simplify] flag:
             SatELite-style CNF preprocessing + inprocessing of every
             encoding built during the run (including the certification
-            re-solve) — see {!Olsq2_simplify.Simplify} *)
+            fallback's encoder) — see {!Olsq2_simplify.Simplify} *)
     budget : Budget.t;
         (** resource allowance (wall seconds / conflicts / per-bound cap);
             the engine returns its best-so-far on exhaustion *)
     certify : bool;
-        (** re-solve at the claimed optimum on a fresh proof-logged
-            encoder and build a {!Certificate.t} (see {!Certificate}) *)
+        (** build a {!Certificate.t} for a proved optimum (see
+            {!Certificate}).  On the session oracle with one worker and
+            no symmetry, the session is proof-logged from its first
+            clause and the bound below the optimum is refuted on the
+            same solver; other runs refute it on a fresh proof-logged
+            classic encoder under what is left of [budget].  The model
+            half validates the run's own result either way. *)
     proof_file : string option;
         (** write the emitted DRAT proof (text format) there *)
     parallel : parallel;
@@ -104,9 +109,9 @@ module Options : sig
             formulation/encoding/injectivity/cardinality arm other than
             {!Config.default}'s solves on the classic encoder instead,
             which honours them; [config.symmetry], budget and pool apply
-            to both.  TB objectives ignore this flag.  Certification is
-            unaffected (it re-solves the claimed bound on a fresh classic
-            encoder either way).  This is the default: the session
+            to both.  TB objectives ignore this flag.  Certification
+            refutes on the session itself unless symmetry or a pool is
+            on (see [certify]).  This is the default: the session
             reaches the same optima as the re-encode loop at a fraction
             of the wall time.  The default honors the
             [OLSQ2_INCREMENTAL] environment variable (set it to [false]
@@ -124,7 +129,7 @@ module Options : sig
             the ambient {!Olsq2_sat.Tuning} around the whole run, so
             every solver created on its behalf — encoder contexts,
             incremental sessions, pool replicas, the certification
-            re-solve — inherits it.  The CLI sets it from repeated
+            fallback's encoder — inherits it.  The CLI sets it from repeated
             [--sat KEY=VAL] flags; the serve daemon accepts it as a
             nested ["sat"] object. *)
   }

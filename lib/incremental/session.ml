@@ -31,10 +31,10 @@
    negation as a unit clause (sound: activation literals occur only
    negatively in the clause database, so the unit is a blocked clause)
    and the retired guarded clauses are DRAT-deleted when a proof logger
-   is attached.  Certification does not depend on this bookkeeping:
-   [--certify] re-solves at the claimed fixed bound on a fresh
-   sequential proof-logged classic encoder, which is the final
-   fixed-bound re-solve the checker validates.
+   is attached.  [create ?proof] installs the logger before the first
+   clause, so [--certify] refutes the bound below the optimum on this
+   same solver and the checker replays the session's own clause log
+   (DESIGN.md gives the trust argument for the retirement units).
 
    The prefix chains make everything else one clause per step:
      dependency g -> g':   not x(g',t) \/ xpre(g,t-1)   (unit at t = 0)
@@ -101,6 +101,7 @@ let solver t = Ctx.solver t.ctx
 let circuit t = t.circuit
 let device t = t.device
 let swap_duration t = t.swap_duration
+let provenance t = Ctx.provenance t.ctx
 
 (* Sequential-ladder at-most-one over a fixed literal set: n-1 auxiliary
    chain literals, 3n-4 clauses — the pairwise encoding the classic
@@ -375,7 +376,7 @@ let grow t new_t_max =
   refresh_act t;
   apply_branching_hints t ~from_step:old
 
-let create ?(symmetry = false) ~t_max ~swap_duration circuit device =
+let create ?(symmetry = false) ?proof ~t_max ~swap_duration circuit device =
   if t_max < 1 then invalid_arg "Session.create: t_max must be >= 1";
   if swap_duration < 1 then invalid_arg "Session.create: swap_duration must be >= 1";
   if circuit.Circuit.num_qubits > device.Coupling.num_qubits then
@@ -395,6 +396,9 @@ let create ?(symmetry = false) ~t_max ~swap_duration circuit device =
         Some (gid, Array.mapi (fun e r -> r = e) orbits)
   in
   let ctx = Ctx.create () in
+  (* install the proof logger before any clause exists, or the logged
+     premise set would miss the first horizon *)
+  (match proof with None -> () | Some p -> Solver.set_proof_logger (Ctx.solver ctx) (Some p));
   let t =
     {
       circuit;

@@ -7,9 +7,10 @@
     Per-horizon activation literals guard the only non-monotone
     constraint ("every gate executes within the horizon"); retired
     horizons are deactivated by a blocked unit clause and their guarded
-    clauses DRAT-deleted when a proof logger is attached.  [--certify]
-    stays checker-valid independently: certificates re-solve at the
-    claimed fixed bound on a fresh sequential classic encoder.
+    clauses DRAT-deleted when a proof logger is attached.  With a logger
+    installed from the first clause ([create ?proof]), [--certify]
+    refutes the bound below the optimum on the session's own solver and
+    the trusted checker replays exactly the clauses that found it.
 
     The encoding is plain CNF (pool-capable) and mirrors
     [Core.Encoder]'s constraint semantics exactly, so both paths return
@@ -22,13 +23,22 @@ module Coupling = Olsq2_device.Coupling
 
 type t
 
-(** [create ?symmetry ~t_max ~swap_duration circuit device] builds the
-    initial horizon.  [symmetry] restricts the first two-qubit gate to
-    automorphism-orbit representative edges
+(** [create ?symmetry ?proof ~t_max ~swap_duration circuit device]
+    builds the initial horizon.  [symmetry] restricts the first
+    two-qubit gate to automorphism-orbit representative edges
     ([Olsq2_device.Symmetry.edge_orbits]) — optimality-preserving for
-    depth and SWAP count, NOT for weighted-SWAP objectives. *)
+    depth and SWAP count, NOT for weighted-SWAP objectives.  [proof] is
+    installed on the solver before any clause exists, so the logged
+    premise set is the session's whole formula, every horizon
+    extension included. *)
 val create :
-  ?symmetry:bool -> t_max:int -> swap_duration:int -> Circuit.t -> Coupling.t -> t
+  ?symmetry:bool ->
+  ?proof:Solver.proof_logger ->
+  t_max:int ->
+  swap_duration:int ->
+  Circuit.t ->
+  Coupling.t ->
+  t
 
 (** Grow the horizon, emitting only the delta CNF (no-op when not
     larger).  Existing depth selectors and counters are kept consistent
@@ -40,6 +50,9 @@ val solver : t -> Solver.t
 val circuit : t -> Circuit.t
 val device : t -> Coupling.t
 val swap_duration : t -> int
+
+(** Clause counts by constraint group (see {!Olsq2_encode.Ctx.provenance}). *)
+val provenance : t -> (string * int) list
 
 (** Selector literal bounding the makespan to [d] (gates execute by step
     d-1, no SWAP finishes at or after d); memoized per bound.  Raises

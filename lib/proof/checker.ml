@@ -7,7 +7,13 @@
    Conventions:
    - clauses live in one Vec and are referred to by integer id;
    - [watches.(Lit.to_int p)] holds ids of clauses to inspect when [p]
-     becomes true (i.e. clauses watching [negate p] in slot 0 or 1);
+     becomes true (i.e. clauses watching [negate p] in slot 0 or 1); a
+     list is created on its first push, until then the slot holds the
+     shared empty [no_watches];
+   - only clauses whose literal set some deletion step names are indexed
+     for deletion lookup: an order-independent fingerprint of every
+     deletion is collected up front, and a clause's sorted key is built
+     only when its fingerprint is among them;
    - [reason.(v)] is the id of the clause that propagated variable [v],
      [-1] for a temporary RUP decision, [-2] for unassigned;
    - a root-level conflict is remembered as [contradiction] (the id of the
@@ -53,10 +59,12 @@ type state = {
   trail : Lit.t Vec.t;
   mutable qhead : int;
   index : (int list, int list ref) Hashtbl.t; (* sorted lits -> candidate ids *)
+  deleted_fps : (int, unit) Hashtbl.t; (* fingerprints of the proof's deletions *)
   mutable contradiction : int; (* falsified clause id, -1 = none *)
   mutable gen : int;
   mutable propagations : int;
   mutable lemmas_checked : int;
+  rat : bool; (* RAT fallback allowed: refutations only, see [check_entails] *)
 }
 
 let dummy_cls = { id = -1; lits = [||]; active = false; marked = false; gen = 0 }
@@ -79,6 +87,18 @@ let undo st mark =
   done;
   Vec.shrink st.trail mark;
   st.qhead <- mark
+
+(* Shared placeholder for a literal nobody watches yet; never pushed to. *)
+let no_watches : int Vec.t = Vec.create ~capacity:0 0
+
+let push_watch st idx cid =
+  let ws = st.watches.(idx) in
+  if ws == no_watches then begin
+    let ws = Vec.create ~capacity:4 0 in
+    Vec.push ws cid;
+    st.watches.(idx) <- ws
+  end
+  else Vec.push ws cid
 
 exception Found_conflict
 
@@ -112,7 +132,7 @@ let propagate st =
              if k >= 0 then begin
                c.lits.(1) <- c.lits.(k);
                c.lits.(k) <- false_lit;
-               Vec.push st.watches.(Lit.to_int (Lit.negate c.lits.(1))) cid;
+               push_watch st (Lit.to_int (Lit.negate c.lits.(1))) cid;
                Vec.remove_swap ws !i
              end
              else if value st first = -1 then begin
@@ -133,6 +153,19 @@ let propagate st =
 
 (* ---- clause bookkeeping ---- *)
 
+(* Order-independent clause fingerprint, computed without allocating: the
+   length with the sum and the xor of the mixed literal codes.  Equal
+   literal sets have equal fingerprints; [clause_key] decides. *)
+let fingerprint lits =
+  let sum = ref 0 and xor = ref 0 in
+  for i = 0 to Array.length lits - 1 do
+    let h = (Lit.to_int lits.(i) + 1) * 0x9E3779B97F4A7C1 in
+    let h = h lxor (h lsr 29) in
+    sum := !sum + h;
+    xor := !xor lxor (h * 0xBF58476D1CE4E5B)
+  done;
+  (Array.length lits * 0x94D049BB133111E) + !sum + (!xor lsl 1)
+
 let clause_key lits =
   let a = Array.map Lit.to_int lits in
   Array.sort compare a;
@@ -149,8 +182,8 @@ let index_remove st key cid =
   | None -> ()
 
 let watch_slots st c =
-  Vec.push st.watches.(Lit.to_int (Lit.negate c.lits.(0))) c.id;
-  Vec.push st.watches.(Lit.to_int (Lit.negate c.lits.(1))) c.id
+  push_watch st (Lit.to_int (Lit.negate c.lits.(0))) c.id;
+  push_watch st (Lit.to_int (Lit.negate c.lits.(1))) c.id
 
 let unwatch_slot st c l =
   let ws = st.watches.(Lit.to_int (Lit.negate l)) in
@@ -202,12 +235,13 @@ let attach st c =
       watch_slots st c))
 
 (* Add a clause to the database without verifying it (formula clauses, and
-   backward-mode phase 1).  Returns the new clause id. *)
+   backward-mode phase 1).  The database owns [lits] from here on and may
+   permute it.  Returns the new clause id. *)
 let add_unchecked st lits =
   let cid = Vec.length st.clauses in
   let c = { id = cid; lits; active = true; marked = false; gen = 0 } in
   Vec.push st.clauses c;
-  index_add st (clause_key lits) cid;
+  if Hashtbl.mem st.deleted_fps (fingerprint lits) then index_add st (clause_key lits) cid;
   (match Array.length lits with
   | 0 -> set_contradiction st cid
   | 1 -> (
@@ -358,7 +392,7 @@ let rat st lits =
 
 let check_lemma st lits =
   st.lemmas_checked <- st.lemmas_checked + 1;
-  rup_no_rat st lits || rat st lits
+  rup_no_rat st lits || (st.rat && rat st lits)
 
 (* Deactivate an addition (backward mode).  If the clause was a recorded
    reason — or the database is currently contradictory, where reasons may
@@ -387,25 +421,31 @@ let reattach st cid =
 
 (* ---- driver ---- *)
 
-let create_state ~formula ~proof ~goal =
+let create_state ~formula ~proof ~goal ~rat =
   let max_var = ref (-1) in
   let scan lits = Array.iter (fun l -> max_var := max !max_var (Lit.var l)) lits in
   Array.iter scan formula;
   Array.iter (function Drat.Add l | Drat.Delete l -> scan l) proof;
   (match goal with Some g -> scan g | None -> ());
   let nv = !max_var + 1 in
+  let deleted_fps = Hashtbl.create 64 in
+  Array.iter
+    (function Drat.Delete l -> Hashtbl.replace deleted_fps (fingerprint l) () | Drat.Add _ -> ())
+    proof;
   {
     clauses = Vec.create dummy_cls;
-    watches = Array.init (2 * nv) (fun _ -> Vec.create ~capacity:4 0);
+    watches = Array.make (2 * nv) no_watches;
     assigns = Array.make nv 0;
     reason = Array.make nv (-2);
     trail = Vec.create Lit.undef;
     qhead = 0;
-    index = Hashtbl.create 1024;
+    index = Hashtbl.create 64;
+    deleted_fps;
     contradiction = -1;
     gen = 0;
     propagations = 0;
     lemmas_checked = 0;
+    rat;
   }
 
 let report st verdict ~additions ~deletions =
@@ -494,9 +534,12 @@ let run_backward st proof goal =
   in
   report st verdict ~additions:!additions ~deletions:!deletions
 
+(* A RAT addition preserves satisfiability but not entailment (a lemma
+   over a variable no clause mentions is RAT, yet not implied), so a goal
+   check accepts RUP steps only. *)
 let run ?(mode = Forward) ~formula ~proof goal =
-  let st = create_state ~formula ~proof ~goal in
-  Array.iter (fun lits -> ignore (add_unchecked st (Array.copy lits))) formula;
+  let st = create_state ~formula ~proof ~goal ~rat:(goal = None) in
+  Array.iter (fun lits -> ignore (add_unchecked st lits)) formula;
   match mode with Forward -> run_forward st proof goal | Backward -> run_backward st proof goal
 
 let check_unsat ?mode ~formula ~proof () = run ?mode ~formula ~proof None

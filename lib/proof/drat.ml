@@ -43,8 +43,6 @@ let attach sink s =
     invalid_arg "Drat.attach: solver already holds clauses; attach to a fresh solver";
   Solver.set_proof_logger s (Some (logger sink))
 
-let detach s = Solver.set_proof_logger s None
-
 let formula sink = Vec.to_array sink.formula_
 let steps sink = Vec.to_array sink.steps_
 let additions sink = sink.additions_

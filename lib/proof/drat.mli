@@ -35,9 +35,6 @@ val logger : sink -> Solver.proof_logger
     misses earlier clauses is worthless. *)
 val attach : sink -> Solver.t -> unit
 
-(** Remove any proof logger from the solver (the sink keeps its contents). *)
-val detach : Solver.t -> unit
-
 (** The original clauses asserted so far, in assertion order. *)
 val formula : sink -> Lit.t array array
 

@@ -154,9 +154,11 @@ let sat_arg =
 
 let certify_arg =
   let doc =
-    "Certify the optimality claim: re-solve at the optimum with DRAT proof logging, check the \
-     proof with the built-in trusted checker, and validate the model.  Exits nonzero if the \
-     certificate cannot be produced or fails.  Supported for the olsq2 method."
+    "Certify the optimality claim: refute the bound below the optimum with DRAT proof logging \
+     (on the proof-logged session itself, or on a fresh classic encoder with $(b,--symmetry), \
+     $(b,-j) or a classic-encoder run), check the proof with the built-in trusted checker, and \
+     validate the model.  Exits nonzero if the certificate cannot be produced or fails.  \
+     Supported for the olsq2 method."
   in
   Arg.(value & flag & info [ "certify" ] ~doc)
 

@@ -199,9 +199,10 @@ let test_symmetry_parity () =
         [ ("depth", Synthesis.Depth); ("swaps", Synthesis.Swaps { warm_start = None }) ])
     cases
 
-(* --certify --incremental: the certificate re-solves on a fresh classic
-   proof-logged encoder (with symmetry stripped), so it must come back
-   valid even when the search ran on the session with symmetry on *)
+(* --certify --incremental with symmetry: an orbit-restricted session is
+   not the formula to certify, so the certificate comes from the classic
+   fallback (a fresh proof-logged encoder with symmetry stripped) and
+   must come back valid, naming that formula *)
 let test_certify_incremental () =
   let instance = Core.Instance.make ~swap_duration:1 (B.Qaoa.random ~seed:1 4) Devices.qx2 in
   List.iter
@@ -211,7 +212,10 @@ let test_certify_incremental () =
       checkb (name ^ " optimal") true report.Synthesis.optimal;
       match report.Synthesis.certificate with
       | None -> Alcotest.failf "%s produced no certificate" name
-      | Some c -> checkb (name ^ " certificate valid") true (Core.Certificate.valid c))
+      | Some c ->
+        checkb (name ^ " certificate valid") true (Core.Certificate.valid c);
+        checkb (name ^ " certified by the fallback") true
+          (c.Core.Certificate.formula <> Core.Certificate.Session))
     [ ("depth", Synthesis.Depth); ("swaps", Synthesis.Swaps { warm_start = None }) ]
 
 let suite =

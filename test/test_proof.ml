@@ -11,6 +11,9 @@ module Certificate = Core.Certificate
 module Instance = Core.Instance
 module Circuit = Olsq2_circuit.Circuit
 module Devices = Olsq2_device.Devices
+module Session = Olsq2_incremental.Session
+module Synthesis = Core.Synthesis
+module Budget = Core.Budget
 
 let dim = L.of_dimacs
 let clause lits = Array.of_list (List.map dim lits)
@@ -90,6 +93,53 @@ let test_checker_accepts_with_deletion () =
   List.iter
     (fun (name, mode) ->
       check_verdict name true (Checker.check_unsat ~mode ~formula ~proof ()))
+    modes
+
+(* Deletions are matched by literal set: a permuted deletion still
+   removes its clause.  The lemma (1) is RUP only while (1|2) is live,
+   so once it is deleted the proof must be rejected. *)
+let test_checker_permuted_deletion () =
+  let formula = cnf [ [ 1; 2 ]; [ 1; -2 ]; [ -1; 2 ]; [ -1; -2 ] ] in
+  let proof = [| Drat.Delete (clause [ 2; 1 ]); Drat.Add (clause [ 1 ]); Drat.Add [||] |] in
+  List.iter
+    (fun (name, mode) ->
+      check_verdict (name ^ ": permuted deletion removed its clause") false
+        (Checker.check_unsat ~mode ~formula ~proof ()))
+    modes
+
+(* A deletion naming no live clause is skipped, and counted. *)
+let test_checker_skips_unknown_deletion () =
+  let formula = cnf [ [ 1; 2 ]; [ 1; -2 ]; [ -1; 2 ]; [ -1; -2 ] ] in
+  let proof = [| Drat.Delete (clause [ 1; 3 ]); Drat.Add (clause [ 1 ]); Drat.Add [||] |] in
+  List.iter
+    (fun (name, mode) ->
+      let r = Checker.check_unsat ~mode ~formula ~proof () in
+      check_verdict (name ^ ": unknown deletion skipped") true r;
+      Alcotest.(check int) (name ^ ": deletion counted") 1 r.Checker.deletions)
+    modes
+
+(* Deleting (1|3) must leave (1|2), a clause of the same length, live:
+   the lemma (1) needs it. *)
+let test_checker_keeps_same_length_clause () =
+  let formula = cnf [ [ 1; 2 ]; [ 1; -2 ]; [ -1; 2 ]; [ -1; -2 ]; [ 1; 3 ] ] in
+  let proof = [| Drat.Delete (clause [ 3; 1 ]); Drat.Add (clause [ 1 ]); Drat.Add [||] |] in
+  List.iter
+    (fun (name, mode) ->
+      check_verdict (name ^ ": same-length clause stays live") true
+        (Checker.check_unsat ~mode ~formula ~proof ()))
+    modes
+
+(* A lemma over a fresh variable is RAT, yet not implied: entailment
+   checks must not take it, as a lemma or as the goal. *)
+let test_checker_entails_rejects_rat () =
+  let formula = cnf [ [ 1; 2 ] ] in
+  List.iter
+    (fun (name, mode) ->
+      check_verdict (name ^ ": RAT goal") false
+        (Checker.check_entails ~mode ~formula ~proof:[||] (clause [ -3 ]));
+      check_verdict (name ^ ": RAT lemma") false
+        (Checker.check_entails ~mode ~formula ~proof:[| Drat.Add (clause [ -3 ]) |]
+           (clause [ -3; 1 ])))
     modes
 
 (* [~y] on (x|y)(~x|y) is neither RUP (no conflict under y=false) nor RAT
@@ -335,18 +385,18 @@ let test_certify_swaps_end_to_end () =
   | None -> Alcotest.fail "no certificate for a proved-optimal swap run"
   | Some cert -> Alcotest.(check bool) "certificate valid" true (Certificate.valid cert)
 
-let optimal_depth instance =
-  let o = Synth.depth instance in
-  Alcotest.(check bool) "depth optimum proved" true o.Core.Synthesis.optimal;
-  match o.Core.Synthesis.result with
-  | Some r -> r.Core.Result_.depth
-  | None -> Alcotest.fail "no depth-optimal schedule found"
+let optimal_result ?(objective = Synthesis.Depth) instance =
+  let o = Synth.run objective instance in
+  Alcotest.(check bool) "optimum proved" true o.Synthesis.optimal;
+  match o.Synthesis.result with
+  | Some r -> r
+  | None -> Alcotest.fail "no optimal schedule found"
 
 let test_certify_writes_proof_file () =
   let instance = tiny_instance () in
-  let depth = optimal_depth instance in
+  let res = optimal_result instance in
   let path = Filename.temp_file "olsq2_cert" ".drat" in
-  let cert = Certificate.certify_depth instance ~depth ~proof_file:path in
+  let cert = Certificate.certify_depth instance res ~depth:res.Core.Result_.depth ~proof_file:path in
   Alcotest.(check bool) "valid" true (Certificate.valid cert);
   let ic = open_in path in
   let len = in_channel_length ic in
@@ -361,12 +411,154 @@ let test_certify_rejects_false_optimum () =
   (* claim one more than the true optimum: the refutation of the bound
      below the claim must fail, because that bound is satisfiable *)
   let instance = tiny_instance () in
-  let depth = optimal_depth instance in
-  let cert = Certificate.certify_depth instance ~depth:(depth + 1) in
+  let res = optimal_result instance in
+  let cert = Certificate.certify_depth instance res ~depth:(res.Core.Result_.depth + 1) in
   Alcotest.(check bool) "not certified" false (Certificate.valid cert);
   match cert.Certificate.lower_bound with
   | Some lb -> Alcotest.(check bool) "lower bound rejected" false lb.Certificate.accepted
   | None -> Alcotest.fail "expected a lower-bound attempt"
+
+(* ---- certification on the session ---- *)
+
+(* The library defaults when OLSQ2_INCREMENTAL and OLSQ2_WORKERS are
+   unset: the session oracle, sequential.  Pinned so the suite exercises
+   the session path under any environment. *)
+let session_options = Synthesis.Options.(default |> with_incremental true |> with_workers 1)
+
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
+let lower_bound_of name (cert : Certificate.t) =
+  match cert.Certificate.lower_bound with
+  | Some lb -> lb
+  | None -> Alcotest.failf "%s: expected a lower-bound attempt" name
+
+(* Claim [optimum] for [model] on a fresh proof-logged session, the way
+   the optimizer certifies after its loop. *)
+let session_certificate ?mode instance (model : Core.Result_.t) claim ~optimum =
+  let sink = Drat.create () in
+  let sess =
+    Session.create ~proof:(Drat.logger sink)
+      ~t_max:(max model.Core.Result_.depth optimum + 1)
+      ~swap_duration:instance.Instance.swap_duration instance.Instance.circuit
+      instance.Instance.device
+  in
+  let r =
+    Certificate.refute claim ~optimum ~formula:Certificate.Session (fun () ->
+        (match claim with
+        | Certificate.Swaps_at_depth _ -> Session.build_counter sess ~max_bound:(max optimum 1)
+        | Certificate.Depth -> ());
+        {
+          Certificate.solver = Session.solver sess;
+          solve = (fun assumptions -> Session.solve ~assumptions sess);
+          depth_selector = Session.depth_selector sess;
+          swap_bound = Session.swap_bound_assumption sess;
+          provenance = (fun () -> Session.provenance sess);
+        })
+  in
+  Certificate.finish ?mode ~sink instance model r
+
+let test_session_certificate_names_session () =
+  let options = Synthesis.Options.with_certify true session_options in
+  let report = Synthesis.run ~options ~objective:Synthesis.Depth (tiny_instance ()) in
+  match report.Synthesis.certificate with
+  | None -> Alcotest.fail "no certificate for a proved-optimal depth run"
+  | Some cert ->
+    Alcotest.(check bool) "valid" true (Certificate.valid cert);
+    Alcotest.(check bool) "certifies the session" true (cert.Certificate.formula = Certificate.Session);
+    Alcotest.(check bool) "claims no Config arm" false
+      (contains (Certificate.to_string cert) (Core.Config.name Core.Config.default));
+    Alcotest.(check bool) "session provenance" true (cert.Certificate.provenance <> [])
+
+let test_fallback_names_classic_config () =
+  let options = Synthesis.Options.(default |> with_incremental false |> with_certify true) in
+  let report = Synthesis.run ~options ~objective:Synthesis.Depth (tiny_instance ()) in
+  match report.Synthesis.certificate with
+  | Some { Certificate.formula = Certificate.Classic config; _ } ->
+    Alcotest.(check string) "pure-SAT arm" (Core.Config.name Core.Config.default)
+      (Core.Config.name config)
+  | Some _ -> Alcotest.fail "a classic run's certificate must name its classic formula"
+  | None -> Alcotest.fail "no certificate"
+
+(* [--proof FILE] on the session path writes the session's steps. *)
+let test_session_proof_file () =
+  let path = Filename.temp_file "olsq2_session" ".drat" in
+  let options = Synthesis.Options.with_certify ~proof_file:path true session_options in
+  let report = Synthesis.run ~options ~objective:Synthesis.Depth (tiny_instance ()) in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  match report.Synthesis.certificate with
+  | Some cert -> (
+    Alcotest.(check bool) "certifies the session" true (cert.Certificate.formula = Certificate.Session);
+    match (lower_bound_of "session" cert).Certificate.check with
+    | Some c ->
+      let additions =
+        List.length
+          (List.filter (function Drat.Add _ -> true | Drat.Delete _ -> false) (Drat.parse Drat.Text text))
+      in
+      Alcotest.(check int) "file additions = proof_additions" c.Certificate.proof_additions additions;
+      Alcotest.(check bool) "accepted" true (Certificate.valid cert)
+    | None -> Alcotest.fail "the refutation did not complete")
+  | None -> Alcotest.fail "no certificate"
+
+(* Session proofs check in both modes, and false optima fail on the
+   session as on the classic fallback: claiming one more than the
+   optimum makes the refuted bound satisfiable. *)
+let test_session_modes_and_false_optima () =
+  let instance = tiny_instance () in
+  let depth_res = optimal_result instance in
+  let swaps_res = optimal_result ~objective:(Synthesis.Swaps { warm_start = None }) instance in
+  let d = depth_res.Core.Result_.depth in
+  let sd = swaps_res.Core.Result_.depth and k = swaps_res.Core.Result_.swap_count in
+  List.iter
+    (fun (name, mode) ->
+      let cert = session_certificate ~mode instance depth_res Certificate.Depth ~optimum:d in
+      Alcotest.(check bool) (name ^ ": depth certificate valid") true (Certificate.valid cert);
+      let cert =
+        session_certificate ~mode instance swaps_res (Certificate.Swaps_at_depth sd) ~optimum:k
+      in
+      Alcotest.(check bool) (name ^ ": swaps certificate valid") true (Certificate.valid cert))
+    modes;
+  let false_optima =
+    [
+      ( "depth",
+        session_certificate instance depth_res Certificate.Depth ~optimum:(d + 1),
+        Certificate.certify_depth instance depth_res ~depth:(d + 1) );
+      ( "swaps",
+        session_certificate instance swaps_res (Certificate.Swaps_at_depth sd) ~optimum:(k + 1),
+        Certificate.certify_swaps instance swaps_res ~depth:sd ~swaps:(k + 1) );
+    ]
+  in
+  List.iter
+    (fun (name, on_session, on_classic) ->
+      List.iter
+        (fun (path, cert) ->
+          let lb = lower_bound_of name cert in
+          Alcotest.(check bool) (Printf.sprintf "%s on the %s: not certified" name path) false
+            (Certificate.valid cert);
+          Alcotest.(check bool) (Printf.sprintf "%s on the %s: bound satisfiable" name path) true
+            (contains lb.Certificate.detail "satisfiable"))
+        [ ("session", on_session); ("classic encoder", on_classic) ])
+    false_optima
+
+(* The fallback runs under the run's budget: a preempted control or a
+   spent deadline leaves its refutation incomplete. *)
+let test_fallback_honours_budget () =
+  let instance = tiny_instance () in
+  let res = optimal_result instance in
+  let ctl = Budget.control () in
+  let preempted = Budget.start (Budget.with_control ctl Budget.unlimited) in
+  Budget.preempt ctl;
+  let spent = Budget.start (Budget.of_seconds 0.0) in
+  List.iter
+    (fun (name, st) ->
+      let cert = Certificate.certify_depth ~budget:st instance res ~depth:res.Core.Result_.depth in
+      let lb = lower_bound_of name cert in
+      Alcotest.(check bool) (name ^ ": not accepted") false lb.Certificate.accepted;
+      Alcotest.(check bool) (name ^ ": incomplete") true (contains lb.Certificate.detail "incomplete"))
+    [ ("preempted", preempted); ("deadline spent", spent) ]
 
 let suite =
   [
@@ -396,5 +588,20 @@ let suite =
           test_certify_depth_with_simplification;
         Alcotest.test_case "certificate writes proof file" `Quick test_certify_writes_proof_file;
         Alcotest.test_case "false optimum rejected" `Quick test_certify_rejects_false_optimum;
+        Alcotest.test_case "checker: permuted deletion" `Quick test_checker_permuted_deletion;
+        Alcotest.test_case "checker: entailment takes no RAT" `Quick
+          test_checker_entails_rejects_rat;
+        Alcotest.test_case "checker: unknown deletion skipped" `Quick
+          test_checker_skips_unknown_deletion;
+        Alcotest.test_case "checker: same-length clause stays live" `Quick
+          test_checker_keeps_same_length_clause;
+        Alcotest.test_case "session certificate names the session" `Quick
+          test_session_certificate_names_session;
+        Alcotest.test_case "fallback certificate names its config" `Quick
+          test_fallback_names_classic_config;
+        Alcotest.test_case "session proof file" `Quick test_session_proof_file;
+        Alcotest.test_case "session modes and false optima" `Quick
+          test_session_modes_and_false_optima;
+        Alcotest.test_case "fallback honours the run budget" `Quick test_fallback_honours_budget;
       ] );
   ]

@@ -361,6 +361,48 @@ let prop_optima_identity =
             | [] -> true)
           objectives)
 
+(* property: on random small instances, the certificate of the session
+   (the formula that found the optimum, refuted in place) and the classic
+   re-solve at the same optimum are both valid — the re-solve is the
+   independent cross-check of the session path. *)
+let prop_session_certificates_cross_check =
+  Q.Test.make ~count:40 ~name:"session and classic certificates agree" instance_arbitrary
+    (fun inst ->
+      match inst with
+      | None -> true
+      | Some (spec, dev) ->
+        let circuit = build_circuit spec in
+        let inst = Core.Instance.make ~swap_duration:1 circuit dev in
+        let options =
+          Core.Synthesis.Options.(
+            default |> with_incremental true |> with_workers 1 |> with_certify true
+            |> with_budget (Core.Budget.of_seconds 60.0))
+        in
+        List.for_all
+          (fun objective ->
+            let report = Core.Synthesis.run ~options ~objective inst in
+            match (report.Core.Synthesis.result, report.Core.Synthesis.certificate) with
+            | Some res, Some cert ->
+              let classic =
+                match cert.Core.Certificate.objective with
+                | Core.Certificate.Depth ->
+                  Core.Certificate.certify_depth inst res ~depth:cert.Core.Certificate.optimum
+                | Core.Certificate.Swaps_at_depth depth ->
+                  Core.Certificate.certify_swaps inst res ~depth
+                    ~swaps:cert.Core.Certificate.optimum
+              in
+              (cert.Core.Certificate.formula = Core.Certificate.Session
+              || Q.Test.fail_report "the session run certified another formula")
+              && (Core.Certificate.valid cert
+                 || Q.Test.fail_reportf "session certificate rejected:\n%s"
+                      (Core.Certificate.to_string cert))
+              && (Core.Certificate.valid classic
+                 || Q.Test.fail_reportf "classic certificate rejected:\n%s"
+                      (Core.Certificate.to_string classic))
+            | Some _, None -> Q.Test.fail_report "optimal run without a certificate"
+            | None, _ -> Q.Test.fail_report "no layout within the budget")
+          [ Core.Synthesis.Depth; Core.Synthesis.Swaps { warm_start = None } ])
+
 (* ---- proof fuzzing ----
 
    Random 3-CNFs solved with DRAT logging attached: every SAT answer must
@@ -446,6 +488,7 @@ let suite =
           prop_tb_valid_and_no_worse;
           prop_depth_bounds;
           prop_optima_identity;
+          prop_session_certificates_cross_check;
         ]
       @ [ Alcotest.test_case "proof fuzz: random 3-CNF certified" `Quick test_proof_fuzz ] );
   ]
