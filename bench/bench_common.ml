@@ -98,41 +98,15 @@ let mean xs =
 
 (* ---- JSON output ----
 
-   Benchmark reports (bench/regress.exe's BENCH_<n>.json) ride on
-   Obs.Json: the repo's single JSON writer, so string escaping (control
+   Benchmark reports (bench/gap.exe's family report) ride on Obs.Json:
+   the repo's single JSON writer, so string escaping (control
    characters, quotes, backslashes in instance labels) is implemented
    exactly once. *)
 
 module Json = Olsq2_obs.Obs.Json
-
-let json_int i = Json.Num (float_of_int i)
 
 let write_json_file path json =
   let oc = open_out path in
   output_string oc (Json.to_string json);
   output_char oc '\n';
   close_out oc
-
-let read_json_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  Json.parse s
-
-(* The commit hash benchmark reports are keyed by (bench/trend joins
-   BENCH_<n>.json history on it).  OLSQ2_BUILD_COMMIT (CI stamps the
-   workflow SHA) wins over asking git, so reports stay keyed even from
-   an exported tarball; "unknown" when neither source is available. *)
-let git_commit () =
-  match Sys.getenv_opt "OLSQ2_BUILD_COMMIT" with
-  | Some c when c <> "" -> c
-  | _ -> (
-    match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-    | ic -> (
-      let line = try input_line ic with End_of_file -> "" in
-      match (Unix.close_process_in ic, line) with
-      | Unix.WEXITED 0, c when c <> "" -> c
-      | _ -> "unknown"
-      | exception Unix.Unix_error _ -> "unknown")
-    | exception _ -> "unknown")

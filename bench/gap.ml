@@ -11,8 +11,7 @@
    Exit code 1 when any optimal-mode configuration contradicts a
    certificate or a heuristic beats an exact optimum (both are
    correctness bugs); heuristic sub-optimality is data, never a failure.
-   Solver sweeps on large instances are gated by --budget like
-   bench/regress: instances whose device exceeds --max-solver-qubits run
+   Solver sweeps on large instances are gated by --budget: instances whose device exceeds --max-solver-qubits run
    heuristics only (logged, and visible in the JSON as an empty
    "solvers" array). *)
 

@@ -22,7 +22,7 @@ open Cmdliner
 
 (* ---- shared arguments ----
 
-   The synthesis knobs (-j/--share/--simplify/--budget/--conflict-budget/
+   The synthesis knobs (-j/--simplify/--budget/--conflict-budget/
    --cube-depth/-c/--certify/--proof) come from Serve.Cli_options, the
    single definition olsq2-serve parses too. *)
 

@@ -8,7 +8,7 @@ module Pool = Olsq2_parallel.Pool
 module Drat = Olsq2_proof.Drat
 
 module Options = struct
-  type parallel = { workers : int; share : bool; cube_depth : int option }
+  type parallel = { workers : int; cube_depth : int option }
 
   type t = {
     config : Config.t;
@@ -34,7 +34,7 @@ module Options = struct
            replicas — inherits it *)
   }
 
-  let sequential = { workers = 1; share = true; cube_depth = None }
+  let sequential = { workers = 1; cube_depth = None }
 
   (* Environment defaults.  A set but malformed variable is an error
      naming the variable and its value, never a silent fallback. *)
@@ -59,9 +59,9 @@ module Options = struct
   let default_workers = from_env "OLSQ2_WORKERS" workers_of_env ~default:1
 
   (* The horizon-extension session is the default solve strategy: it
-     reaches the same optima as the classic re-encode loop (bench/regress
-     cross-checks every instance and test/test_properties.ml asserts the
-     identity property) at a fraction of the wall time, because horizon
+     reaches the same optima as the classic re-encode loop
+     (test/test_parallel.ml and test/test_properties.ml assert the
+     identity) at a fraction of the wall time, because horizon
      growth emits delta CNF and learnt clauses survive it.
      OLSQ2_INCREMENTAL=false restores the re-encode loop suite-wide, so
      CI can cross-check the two strategies without per-harness flags. *)
@@ -88,13 +88,12 @@ module Options = struct
   let with_device device t = { t with device = Some device }
   let with_tuning sat t = { t with sat }
 
-  let with_workers ?share ?cube_depth workers t =
+  let with_workers ?cube_depth workers t =
     {
       t with
       parallel =
         {
           workers = max 1 workers;
-          share = (match share with Some s -> s | None -> t.parallel.share);
           cube_depth = (match cube_depth with Some _ -> cube_depth | None -> t.parallel.cube_depth);
         };
     }
@@ -164,7 +163,6 @@ module Options = struct
         Json.Obj
           [
             ("workers", Json.Num (float_of_int t.parallel.workers));
-            ("share", Json.Bool t.parallel.share);
             ( "cube_depth",
               match t.parallel.cube_depth with
               | None -> Json.Null
@@ -177,10 +175,19 @@ module Options = struct
 
   let to_json t = Json.Obj (to_assoc t)
 
+  (* An unknown key is an error naming it, so a misspelt or retired
+     option is never a silent no-op. *)
+  let check_keys name known kvs =
+    match List.find_opt (fun (k, _) -> not (List.mem k known)) kvs with
+    | None -> Ok ()
+    | Some (k, _) ->
+      Error (Printf.sprintf "unknown %s key %S (known: %s)" name k (String.concat ", " known))
+
   (* Missing keys keep [default]'s value, so partial wire requests stay
      valid; [Null] means an explicit "unset". *)
   let of_assoc assoc =
     let ( let* ) r f = Result.bind r f in
+    let* () = check_keys "options" (List.map fst (to_assoc default)) assoc in
     let find k = List.assoc_opt k assoc in
     let bool_field name default =
       match find name with
@@ -219,6 +226,7 @@ module Options = struct
       match find "parallel" with
       | None | Some Json.Null -> Ok default.parallel
       | Some (Json.Obj kvs) ->
+        let* () = check_keys "parallel" [ "workers"; "cube_depth" ] kvs in
         let pfind k = List.assoc_opt k kvs in
         let* workers =
           match pfind "workers" with
@@ -226,19 +234,13 @@ module Options = struct
           | Some (Json.Num f) when Float.is_integer f && f >= 1. -> Ok (int_of_float f)
           | Some _ -> Error "parallel.workers: expected a positive integer"
         in
-        let* share =
-          match pfind "share" with
-          | None | Some Json.Null -> Ok default.parallel.share
-          | Some (Json.Bool b) -> Ok b
-          | Some _ -> Error "parallel.share: expected a bool"
-        in
         let* cube_depth =
           match pfind "cube_depth" with
           | None | Some Json.Null -> Ok None
           | Some (Json.Num f) when Float.is_integer f && f >= 0. -> Ok (Some (int_of_float f))
           | Some _ -> Error "parallel.cube_depth: expected a non-negative integer"
         in
-        Ok { workers; share; cube_depth }
+        Ok { workers; cube_depth }
       | Some _ -> Error "parallel: expected an object"
     in
     let* incremental = bool_field "incremental" default.incremental in
@@ -333,8 +335,8 @@ let run ?(options = Options.default) ~objective instance =
   let pool =
     if par.Options.workers > 1 then
       Some
-        (Pool.create ~workers:par.Options.workers ~share:par.Options.share
-           ?cube_depth:par.Options.cube_depth ~tuning:options.Options.sat ())
+        (Pool.create ~workers:par.Options.workers ?cube_depth:par.Options.cube_depth
+           ~tuning:options.Options.sat ())
     else None
   in
   let obs = Obs.global () in

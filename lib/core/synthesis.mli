@@ -71,12 +71,11 @@ module Options : sig
       {!Olsq2_parallel.Pool} of that many worker domains and routes hard
       bound queries through it (easy queries — those solved within the
       pool's probe threshold — keep the exact sequential behavior).
-      [share] exchanges short learnt clauses between the pool's workers
-      (on by default; automatically disabled on proof-logging solvers, so
-      certification is always sound).  [cube_depth] fixes the number of
-      split variables [k] (2^k cubes); defaults to the smallest [k] with
-      at least [4 * workers] cubes. *)
-  type parallel = { workers : int; share : bool; cube_depth : int option }
+      The pool's workers always exchange short learnt clauses (never on
+      proof-logging solvers, so certification stays sound).  [cube_depth]
+      fixes the number of split variables [k] (2^k cubes); defaults to the
+      smallest [k] with at least [4 * workers] cubes. *)
+  type parallel = { workers : int; cube_depth : int option }
 
   type t = {
     config : Config.t;  (** encoding selection (default {!Config.default}) *)
@@ -159,8 +158,8 @@ module Options : sig
   val with_certify : ?proof_file:string -> bool -> t -> t
 
   (** [with_workers n t] sets [parallel.workers] (clamped to >= 1),
-      optionally overriding [share] / [cube_depth]. *)
-  val with_workers : ?share:bool -> ?cube_depth:int -> int -> t -> t
+      optionally overriding [cube_depth]. *)
+  val with_workers : ?cube_depth:int -> int -> t -> t
 
   val with_incremental : bool -> t -> t
   val with_device : string -> t -> t
@@ -190,8 +189,9 @@ module Options : sig
   val to_json : t -> Olsq2_obs.Obs.Json.json
 
   (** Inverse of {!to_assoc}: missing or [Null] keys take {!default}'s
-      value (so partial wire requests stay valid); type mismatches and
-      unknown enum values are an [Error]. *)
+      value (so partial wire requests stay valid); unknown keys (at top
+      level and inside [parallel]), type mismatches and unknown enum
+      values are an [Error] naming the key. *)
   val of_assoc : (string * Olsq2_obs.Obs.Json.json) list -> (t, string) result
 
   (** {!of_assoc} on a JSON object ([Error] on any other JSON). *)

@@ -1,8 +1,6 @@
 (* JSON rendering of gap-harness results: the olsq2.gap/1 schema written
-   by bench/gap.exe and embedded (per instance) as the "gap" section of
-   bench/regress's BENCH_<n>.json.  The "optima_match" key is shared with
-   the parallel/incremental regress sections so one CI grep guards every
-   optimal-mode consistency claim in the repo. *)
+   by bench/gap.exe.  CI greps its "optima_match" key to guard every
+   optimal-mode consistency claim against the known optima. *)
 
 module Json = Olsq2_obs.Obs.Json
 

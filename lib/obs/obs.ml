@@ -626,29 +626,6 @@ module Profile = struct
 
   let of_tracer t = of_events (events t)
 
-  let merge a b =
-    let tbl : (string list, node) Hashtbl.t = Hashtbl.create 64 in
-    let absorb n =
-      match Hashtbl.find_opt tbl n.path with
-      | None -> Hashtbl.replace tbl n.path n
-      | Some p ->
-        Hashtbl.replace tbl n.path
-          {
-            p with
-            calls = p.calls + n.calls;
-            total_seconds = p.total_seconds +. n.total_seconds;
-            self_seconds = p.self_seconds +. n.self_seconds;
-            minor_words = p.minor_words +. n.minor_words;
-            major_words = p.major_words +. n.major_words;
-            minor_collections = p.minor_collections + n.minor_collections;
-            major_collections = p.major_collections + n.major_collections;
-          }
-    in
-    List.iter absorb a;
-    List.iter absorb b;
-    Hashtbl.fold (fun _ n acc -> n :: acc) tbl []
-    |> List.sort (fun a b -> compare a.path b.path)
-
   let total_self nodes = List.fold_left (fun acc n -> acc +. n.self_seconds) 0.0 nodes
 
   (* Collapsed-stack format (Brendan Gregg's flamegraph.pl /

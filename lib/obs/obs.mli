@@ -204,10 +204,6 @@ module Profile : sig
 
   val of_tracer : t -> node list
 
-  (** Combine two node lists path-wise (e.g. profiles of separate
-      tracers, one per benchmark instance). *)
-  val merge : node list -> node list -> node list
-
   (** Sum of [self_seconds] — equals total traced wall time per domain
       (the acceptance check against measured wall). *)
   val total_self : node list -> float

@@ -30,7 +30,6 @@ type pool_stats = {
 
 type t = {
   n_workers : int;
-  share : bool;
   cube_depth : int;
   threshold : int;
   tuning : Tuning.t; (* strategy for replica solvers *)
@@ -60,7 +59,7 @@ let default_depth workers =
   let rec go k = if 1 lsl k >= 4 * workers || k >= 10 then k else go (k + 1) in
   go 1
 
-let create ?(share = true) ?cube_depth ?threshold ?tuning ~workers () =
+let create ?cube_depth ?threshold ?tuning ~workers () =
   let workers = max 1 workers in
   let tuning = match tuning with Some t -> t | None -> Tuning.ambient () in
   (* the sequential probe cap defaults from the tuning record, so the
@@ -70,7 +69,6 @@ let create ?(share = true) ?cube_depth ?threshold ?tuning ~workers () =
   in
   {
     n_workers = workers;
-    share;
     cube_depth = (match cube_depth with Some k -> max 1 (min 14 k) | None -> default_depth workers);
     threshold = max 1 threshold;
     tuning;
@@ -152,7 +150,7 @@ let conquer t master ~assumptions ~cubes ~max_conflicts ~deadline =
   let pg_propagations = Atomic.make 0 in
   let pg_learnts = Atomic.make 0 in
   let before = Array.map (fun r -> Solver.stats_copy (Solver.stats r.solver)) t.replicas in
-  let chan = if t.share && nw > 1 then Some (Share.create ()) else None in
+  let chan = if nw > 1 then Some (Share.create ()) else None in
   Array.iteri
     (fun w r ->
       if w < nw then begin

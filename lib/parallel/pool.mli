@@ -8,7 +8,7 @@
     domains self-schedule cubes off a shared [Atomic] counter (work
     stealing by construction).  The first Sat cancels everyone; all
     cubes Unsat is Unsat; otherwise the best-informed [Unknown] wins.
-    With sharing on, replicas exchange short low-LBD learnts through a
+    Replicas exchange short low-LBD learnts through a
     lossy {!Share.channel} during the query, and each replica keeps its
     own learnt database across queries, so later bound iterations start
     warm exactly as the paper's incremental Z3 usage does sequentially.
@@ -41,10 +41,11 @@ type t
     workers on top of the master's own counters. *)
 type progress = { pg_conflicts : int; pg_propagations : int; pg_learnts : int }
 
-(** [create ?share ?cube_depth ?threshold ?tuning ~workers ()]:
+(** [create ?cube_depth ?threshold ?tuning ~workers ()]:
     [workers] is the number of domains used per query (a pool with
-    [workers <= 1] makes every {!solve} sequential); [share] (default
-    [true]) exchanges learnt clauses between replicas; [cube_depth]
+    [workers <= 1] makes every {!solve} sequential); the replicas of a
+    query always exchange short learnt clauses through a {!Share}
+    channel; [cube_depth]
     fixes the split depth [k] (default: smallest [k] with
     [2^k >= 4 * workers], capped at [10]); [threshold] is the adaptive
     gate — every query first runs a sequential probe on the warm master
@@ -56,7 +57,6 @@ type progress = { pg_conflicts : int; pg_propagations : int; pg_learnts : int }
     share filters, and — unless [threshold] overrides it — the probe cap
     ([Tuning.probe_conflicts]). *)
 val create :
-  ?share:bool ->
   ?cube_depth:int ->
   ?threshold:int ->
   ?tuning:Olsq2_sat.Tuning.t ->

@@ -11,9 +11,7 @@
      pairs with in-place compaction, no boxed watcher records;
    - two-watched-literal unit propagation with blocker literals,
    - first-UIP conflict analysis with basic clause minimization,
-   - chronological backtracking for long backjumps ([Tuning.chrono]),
-   - VSIDS decision heuristic with phase saving, target phases and
-     periodic rephasing ([Tuning.phase_mode]),
+   - VSIDS decision heuristic with phase saving ([Tuning.phase_mode]),
    - Luby or geometric restarts,
    - LBD-aware learnt-clause database reduction with arena compaction,
    - clause vivification (distillation) between restarts, DRAT-logged,
@@ -79,7 +77,6 @@ type stats = {
   mutable learnt_clauses : int;
   mutable removed_clauses : int;
   mutable solves : int;
-  mutable chrono_backtracks : int;
   mutable vivified_clauses : int;
   mutable compactions : int;
   mutable solve_seconds : float;
@@ -103,7 +100,6 @@ let stats_zero () =
     learnt_clauses = 0;
     removed_clauses = 0;
     solves = 0;
-    chrono_backtracks = 0;
     vivified_clauses = 0;
     compactions = 0;
     solve_seconds = 0.0;
@@ -134,7 +130,6 @@ let stats_diff ~after ~before =
     learnt_clauses = after.learnt_clauses - before.learnt_clauses;
     removed_clauses = after.removed_clauses - before.removed_clauses;
     solves = after.solves - before.solves;
-    chrono_backtracks = after.chrono_backtracks - before.chrono_backtracks;
     vivified_clauses = after.vivified_clauses - before.vivified_clauses;
     compactions = after.compactions - before.compactions;
     solve_seconds = after.solve_seconds -. before.solve_seconds;
@@ -157,7 +152,6 @@ let stats_add ~into s =
   into.learnt_clauses <- into.learnt_clauses + s.learnt_clauses;
   into.removed_clauses <- into.removed_clauses + s.removed_clauses;
   into.solves <- into.solves + s.solves;
-  into.chrono_backtracks <- into.chrono_backtracks + s.chrono_backtracks;
   into.vivified_clauses <- into.vivified_clauses + s.vivified_clauses;
   into.compactions <- into.compactions + s.compactions;
   into.solve_seconds <- into.solve_seconds +. s.solve_seconds;
@@ -179,9 +173,8 @@ let pp_stats_record fmt s =
     "conflicts=%d decisions=%d propagations=%d (%.0f/s) restarts=%d learnt=%d removed=%d solves=%d"
     s.conflicts s.decisions s.propagations (propagations_per_second s) s.restarts s.learnt_clauses
     s.removed_clauses s.solves;
-  if s.chrono_backtracks > 0 || s.vivified_clauses > 0 || s.compactions > 0 then
-    Format.fprintf fmt "@\nhotpath: chrono=%d vivified=%d compactions=%d" s.chrono_backtracks
-      s.vivified_clauses s.compactions;
+  if s.vivified_clauses > 0 || s.compactions > 0 then
+    Format.fprintf fmt "@\nhotpath: vivified=%d compactions=%d" s.vivified_clauses s.compactions;
   let phase_total =
     s.propagate_seconds +. s.analyze_seconds +. s.reduce_seconds +. s.restart_seconds
     +. s.vivify_seconds
@@ -242,7 +235,6 @@ type t = {
   mutable reason : int array; (* cref; null_cref = no reason *)
   mutable activity : float array;
   mutable polarity : bool array; (* saved phase *)
-  mutable target : bool array; (* target phase (deepest trail so far) *)
   mutable seen : bool array;
   mutable level_mark : int array; (* LBD scratch, stamped by [mark_gen] *)
   mutable mark_gen : int;
@@ -255,10 +247,6 @@ type t = {
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable tuning : Tuning.t;
-  mutable best_trail : int; (* deepest trail seen since the last rephase *)
-  mutable next_rephase : int; (* conflict count triggering the next rephase *)
-  mutable rephase_state : int;
-  mutable chrono_streak : int; (* consecutive chronological backtracks *)
   mutable lit_marks : int array; (* per-literal timestamps for clause dedup *)
   mutable mark_stamp : int;
   (* status *)
@@ -309,7 +297,6 @@ let create ?tuning () =
     reason = [||];
     activity = [||];
     polarity = [||];
-    target = [||];
     seen = [||];
     level_mark = [||];
     mark_gen = 0;
@@ -320,10 +307,6 @@ let create ?tuning () =
     var_inc = 1.0;
     cla_inc = 1.0;
     tuning;
-    best_trail = 0;
-    next_rephase = (if tuning.Tuning.rephase_interval > 0 then tuning.Tuning.rephase_interval else max_int);
-    rephase_state = 0;
-    chrono_streak = 0;
     lit_marks = [||];
     mark_stamp = 0;
     nvars = 0;
@@ -350,11 +333,7 @@ let nvars t = t.nvars
 let stats t = t.stats
 let tuning t = t.tuning
 
-let set_tuning t tu =
-  t.tuning <- tu;
-  t.next_rephase <-
-    (if tu.Tuning.rephase_interval > 0 then t.stats.conflicts + tu.Tuning.rephase_interval
-     else max_int)
+let set_tuning t tu = t.tuning <- tu
 
 let set_progress ?(interval = 2000) t cb =
   t.progress <- cb;
@@ -448,7 +427,6 @@ let new_var t =
   t.reason <- grow_array t.reason t.nvars null_cref;
   t.activity <- grow_array t.activity t.nvars 0.0;
   t.polarity <- grow_array t.polarity t.nvars false;
-  t.target <- grow_array t.target t.nvars false;
   t.seen <- grow_array t.seen t.nvars false;
   t.level_mark <- grow_array t.level_mark (t.nvars + 1) 0;
   t.frozen <- grow_array t.frozen t.nvars false;
@@ -1351,32 +1329,8 @@ let pick_branch_var t =
 let decision_sign t v =
   match t.tuning.Tuning.phase_mode with
   | Tuning.Phase_saved -> t.polarity.(v)
-  | Tuning.Phase_target -> t.target.(v)
   | Tuning.Phase_negative -> false
   | Tuning.Phase_positive -> true
-
-(* Target phases: when a conflict interrupts the deepest trail seen since
-   the last rephase, remember every assigned sign — decisions steer back
-   toward the largest consistent partial assignment found so far. *)
-let update_target t =
-  let len = Vec.length t.trail in
-  if len > t.best_trail then begin
-    t.best_trail <- len;
-    Vec.iter (fun l -> t.target.(Lit.var l) <- Lit.sign l) t.trail
-  end
-
-(* Periodic rephase (restart boundaries): alternate between re-seeding the
-   target phases from the saved phases and resetting them to the default
-   all-false phase, clearing the best-trail mark so the target can be
-   re-conquered.  Diversifies the phase schedule without touching
-   soundness. *)
-let rephase t =
-  let n = t.nvars in
-  (match t.rephase_state land 1 with
-  | 0 -> Array.blit t.polarity 0 t.target 0 n
-  | _ -> Array.fill t.target 0 n false);
-  t.rephase_state <- t.rephase_state + 1;
-  t.best_trail <- 0
 
 let record_learnt t learnt lbd =
   log_learnt t learnt;
@@ -1463,27 +1417,7 @@ let integrate_shared t =
    unit propagation), so decision/assumption overhead between ticks is
    charged to propagation — the cheap-counter approximation keeps it at
    one clock read per decision or conflict while still attributing well
-   over 90% of solve time (the acceptance gate bench/regress checks).
-
-   Chronological backtracking ([Tuning.chrono]): when the non-chronological
-   backjump would skip more than [chrono] levels, backtrack a single level
-   instead.  The learnt clause is still asserting there (every non-UIP
-   literal is assigned strictly below the previous level), so search
-   continues soundly while the skipped levels' still-consistent assignments
-   are kept for reuse — the propagation that rebuilt them is saved.
-
-   Unlike full chronological solvers we record the asserting literal at the
-   level it is enqueued at ([dl - 1]), not at its real implication level, so
-   assignment levels stay trail-consistent and [analyze] needs no
-   out-of-order machinery.  The price is that a *run* of chrono steps
-   inflates levels: on propagation-sparse instances (deep decision stacks,
-   e.g. selector-heavy bound encodings) every conflict in the unwind is
-   another chrono step, each analysis drags in thousands of decision
-   literals, and the solver learns O(dl) huge clauses walking down one
-   level at a time.  [chrono_streak_limit] bounds that failure mode: after
-   a few consecutive chrono steps the next conflict takes the full
-   non-chronological backjump, which collapses the stale stack at once. *)
-let chrono_streak_limit = 4
+   over 90% of solve time. *)
 let search t assumptions conflict_budget deadline =
   let conflicts_here = ref 0 in
   let mark = ref (Olsq2_util.Stopwatch.now ()) in
@@ -1498,7 +1432,6 @@ let search t assumptions conflict_budget deadline =
     t.stats.analyze_seconds <- t.stats.analyze_seconds +. !ana_acc;
     t.stats.reduce_seconds <- t.stats.reduce_seconds +. !red_acc
   in
-  let chrono = t.tuning.Tuning.chrono in
   let rec loop () =
     let confl = propagate t in
     tick prop_acc;
@@ -1507,7 +1440,6 @@ let search t assumptions conflict_budget deadline =
       t.stats.conflicts <- t.stats.conflicts + 1;
       incr conflicts_here;
       Hist.observe_int t.stats.trail_hist (Vec.length t.trail);
-      update_target t;
       (match t.progress with
       | Some f when t.stats.conflicts >= t.next_progress ->
         t.next_progress <- t.stats.conflicts + t.progress_interval;
@@ -1521,24 +1453,7 @@ let search t assumptions conflict_budget deadline =
       else begin
         let learnt, btlevel, lbd = analyze t confl in
         Hist.observe_int t.stats.lbd_hist lbd;
-        let dl = decision_level t in
-        let bt =
-          if
-            chrono > 0
-            && dl - btlevel > chrono
-            && t.chrono_streak < chrono_streak_limit
-            && Array.length learnt > 1
-          then begin
-            t.stats.chrono_backtracks <- t.stats.chrono_backtracks + 1;
-            t.chrono_streak <- t.chrono_streak + 1;
-            dl - 1
-          end
-          else begin
-            t.chrono_streak <- 0;
-            btlevel
-          end
-        in
-        cancel_until t bt;
+        cancel_until t btlevel;
         record_learnt t learnt lbd;
         var_decay_activity t;
         clause_decay_activity t;
@@ -1652,14 +1567,10 @@ let solve_raw ?(assumptions = []) ?max_conflicts ?timeout t =
       | `Interrupted -> Unknown Interrupted
       | `Restart ->
         total_conflicts := !total_conflicts + budget;
-        (* Restart housekeeping (inprocessing, share-channel integration,
-           rephasing) is its own attribution phase; vivification inside
+        (* Restart housekeeping (inprocessing, share-channel integration)
+           is its own attribution phase; vivification inside
            the inprocessor charges [vivify_seconds] separately. *)
         let r0 = Olsq2_util.Stopwatch.now () in
-        if t.tuning.Tuning.rephase_interval > 0 && t.stats.conflicts >= t.next_rephase then begin
-          t.next_rephase <- t.stats.conflicts + t.tuning.Tuning.rephase_interval;
-          rephase t
-        end;
         (match t.inprocessor with
         | Some f when t.ok && t.stats.conflicts >= t.next_inprocess ->
           t.next_inprocess <- (2 * t.stats.conflicts) + 1000;
@@ -1789,11 +1700,7 @@ let boost_activity t v amount =
     Var_heap.decrease t.order v
   end
 
-let suggest_phase t v phase =
-  if v >= 0 && v < t.nvars then begin
-    t.polarity.(v) <- phase;
-    t.target.(v) <- phase
-  end
+let suggest_phase t v phase = if v >= 0 && v < t.nvars then t.polarity.(v) <- phase
 
 let conflict_core t = t.conflict_core
 let unsat_core t = t.conflict_core

@@ -52,8 +52,6 @@ type stats = {
   mutable learnt_clauses : int;
   mutable removed_clauses : int;
   mutable solves : int;
-  mutable chrono_backtracks : int;
-      (** conflicts resolved by chronological (one-level) backtracking *)
   mutable vivified_clauses : int;  (** clauses shortened by vivification *)
   mutable compactions : int;  (** clause-arena garbage collections *)
   mutable solve_seconds : float;  (** wall time spent inside [solve] *)
@@ -136,8 +134,8 @@ val create : ?tuning:Tuning.t -> unit -> t
 (** The tuning this solver runs with. *)
 val tuning : t -> Tuning.t
 
-(** Replace the tuning mid-life (reschedules the next rephase).  Arena
-    capacity only applies to future growth. *)
+(** Replace the tuning mid-life.  Arena capacity only applies to future
+    growth. *)
 val set_tuning : t -> Tuning.t -> unit
 
 (** Allocate a fresh variable. *)

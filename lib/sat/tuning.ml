@@ -12,7 +12,7 @@
    codec idiom as [Core.Config]). *)
 
 type restart_mode = Luby | Geometric
-type phase_mode = Phase_saved | Phase_target | Phase_negative | Phase_positive
+type phase_mode = Phase_saved | Phase_negative | Phase_positive
 
 type t = {
   restart_mode : restart_mode;
@@ -21,8 +21,6 @@ type t = {
   var_decay : float;  (* VSIDS decay: var_inc /= var_decay per conflict *)
   clause_decay : float;  (* learnt-activity decay per conflict *)
   phase_mode : phase_mode;
-  rephase_interval : int;  (* conflicts between rephases; 0 disables *)
-  chrono : int;  (* chronological backtracking jump threshold; 0 disables *)
   reduce_base : int;  (* learnt-DB size slack before the first reduction *)
   reduce_keep : float;  (* fraction of sorted learnts kept by reduce-DB *)
   reduce_lbd_protect : int;  (* learnts with LBD <= this are never dropped *)
@@ -43,8 +41,6 @@ let default =
     var_decay = 0.95;
     clause_decay = 0.999;
     phase_mode = Phase_saved;
-    rephase_interval = 10_000;
-    chrono = 0;
     reduce_base = 4000;
     reduce_keep = 0.5;
     reduce_lbd_protect = 3;
@@ -69,14 +65,7 @@ let with_restart ?mode ?base ?factor t =
     restart_factor = Option.value factor ~default:t.restart_factor;
   }
 
-let with_phase ?mode ?rephase_interval t =
-  {
-    t with
-    phase_mode = Option.value mode ~default:t.phase_mode;
-    rephase_interval = Option.value rephase_interval ~default:t.rephase_interval;
-  }
-
-let with_chrono chrono t = { t with chrono }
+let with_phase phase_mode t = { t with phase_mode }
 
 let with_reduce ?base ?keep ?lbd_protect t =
   {
@@ -124,16 +113,14 @@ let restart_mode_of_string = function
 
 let phase_mode_to_string = function
   | Phase_saved -> "saved"
-  | Phase_target -> "target"
   | Phase_negative -> "negative"
   | Phase_positive -> "positive"
 
 let phase_mode_of_string = function
   | "saved" -> Ok Phase_saved
-  | "target" -> Ok Phase_target
   | "negative" -> Ok Phase_negative
   | "positive" -> Ok Phase_positive
-  | s -> Error (Printf.sprintf "unknown phase mode %S (expected saved|target|negative|positive)" s)
+  | s -> Error (Printf.sprintf "unknown phase mode %S (expected saved|negative|positive)" s)
 
 let keys =
   [
@@ -143,8 +130,6 @@ let keys =
     "var_decay";
     "clause_decay";
     "phase";
-    "rephase_interval";
-    "chrono";
     "reduce_base";
     "reduce_keep";
     "reduce_lbd_protect";
@@ -165,8 +150,6 @@ let to_assoc t =
     ("var_decay", Printf.sprintf "%g" t.var_decay);
     ("clause_decay", Printf.sprintf "%g" t.clause_decay);
     ("phase", phase_mode_to_string t.phase_mode);
-    ("rephase_interval", string_of_int t.rephase_interval);
-    ("chrono", string_of_int t.chrono);
     ("reduce_base", string_of_int t.reduce_base);
     ("reduce_keep", Printf.sprintf "%g" t.reduce_keep);
     ("reduce_lbd_protect", string_of_int t.reduce_lbd_protect);
@@ -218,12 +201,6 @@ let of_assoc ?(base = default) kvs =
       | "phase" ->
         let* m = phase_mode_of_string (String.trim v) in
         Ok { t with phase_mode = m }
-      | "rephase_interval" ->
-        let* n = parse_int key v in
-        Ok { t with rephase_interval = n }
-      | "chrono" ->
-        let* n = parse_int key v in
-        Ok { t with chrono = n }
       | "reduce_base" ->
         let* n = parse_int key v in
         Ok { t with reduce_base = n }

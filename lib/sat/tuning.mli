@@ -1,8 +1,7 @@
 (** First-class SAT-core tuning surface.
 
     One immutable record holds every search-strategy knob of the CDCL
-    core — restart schedule, phase policy, chronological backtracking,
-    reduce-DB fractions, vivification budget, clause-arena sizing,
+    core — restart schedule, phase policy, reduce-DB fractions, vivification budget, clause-arena sizing,
     learnt-sharing filters — replacing the ad-hoc constants that used to
     be scattered through [solver.ml] and [pool.ml].  The value travels
     end-to-end: [Synthesis.Options.with_tuning] carries it into a run,
@@ -12,10 +11,9 @@
 type restart_mode = Luby | Geometric
 
 (** Decision-phase policy: [Phase_saved] replays the last assigned sign
-    (classic phase saving); [Phase_target] prefers the sign from the
-    deepest trail reached so far (target phases, refreshed by periodic
-    rephasing); [Phase_negative] / [Phase_positive] are fixed signs. *)
-type phase_mode = Phase_saved | Phase_target | Phase_negative | Phase_positive
+    (classic phase saving); [Phase_negative] / [Phase_positive] are fixed
+    signs. *)
+type phase_mode = Phase_saved | Phase_negative | Phase_positive
 
 type t = {
   restart_mode : restart_mode;
@@ -24,10 +22,6 @@ type t = {
   var_decay : float;  (** VSIDS decay per conflict (0.5 .. 1.0) *)
   clause_decay : float;  (** learnt-activity decay per conflict *)
   phase_mode : phase_mode;
-  rephase_interval : int;  (** conflicts between rephases; [0] disables *)
-  chrono : int;
-      (** chronological backtracking: when a conflict would jump back more
-          than this many levels, backtrack one level instead; [0] disables *)
   reduce_base : int;  (** learnt-DB slack before the first reduction *)
   reduce_keep : float;  (** fraction of sorted learnts kept by reduce-DB *)
   reduce_lbd_protect : int;  (** learnts with LBD <= this are never dropped *)
@@ -40,10 +34,8 @@ type t = {
   probe_conflicts : int;  (** pool: sequential-probe conflicts before cubing *)
 }
 
-(** Defaults validated against the pinned regression suite
-    (EXPERIMENTS.md): Luby restarts, phase saving, chronological
-    backtracking and target phases disabled — both raised conflict
-    counts suite-wide when tried as defaults. *)
+(** Defaults validated against the benchmark (EXPERIMENTS.md): Luby
+    restarts and phase saving. *)
 val default : t
 
 val equal : t -> t -> bool
@@ -51,8 +43,7 @@ val equal : t -> t -> bool
 (** {2 Builders} — derive a variant, leaving unnamed fields unchanged. *)
 
 val with_restart : ?mode:restart_mode -> ?base:int -> ?factor:float -> t -> t
-val with_phase : ?mode:phase_mode -> ?rephase_interval:int -> t -> t
-val with_chrono : int -> t -> t
+val with_phase : phase_mode -> t -> t
 val with_reduce : ?base:int -> ?keep:float -> ?lbd_protect:int -> t -> t
 val with_decay : ?var:float -> ?clause:float -> t -> t
 val with_vivify : int -> t -> t

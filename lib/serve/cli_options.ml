@@ -1,5 +1,5 @@
 (* Shared Cmdliner vocabulary for the synthesis knobs, so `olsq2 synth`
-   and `olsq2-serve` parse -j/--share/--simplify/--budget/... with one
+   and `olsq2-serve` parse -j/--simplify/--budget/... with one
    definition — same flag names, same docs, same defaulting — and both
    lower to the same [Synthesis.Options] value. *)
 
@@ -10,7 +10,6 @@ type common = {
   budget_seconds : float option;
   conflict_budget : int option;
   workers : int option;  (* None: Options.default (OLSQ2_WORKERS or 1) *)
-  share : bool option;
   cube_depth : int option;
   config : Core.Config.t;
   simplify : bool option;
@@ -38,20 +37,6 @@ let workers_arg =
      methods).  1 solves sequentially.  Defaults to $(b,OLSQ2_WORKERS) or 1."
   in
   Arg.(value & opt (some int) None & info [ "j"; "workers" ] ~docv:"N" ~doc)
-
-let share_arg =
-  let on =
-    let doc =
-      "Share short learnt clauses between the cube-and-conquer workers of $(b,--workers) > 1 \
-       (the default).  Never applied to proof-logging solvers, so $(b,--certify) stays sound."
-    in
-    (Some true, Arg.info [ "share" ] ~doc)
-  in
-  let off =
-    let doc = "Disable learnt-clause sharing everywhere." in
-    (Some false, Arg.info [ "no-share" ] ~doc)
-  in
-  Arg.(value & vflag None [ on; off ])
 
 let cube_depth_arg =
   let doc =
@@ -145,8 +130,7 @@ let sat_arg =
   let doc =
     "Override one SAT-core strategy knob as $(i,KEY=VAL) (repeatable; applied in order).  Keys: \
      restart (luby|geometric), restart_base, restart_factor, var_decay, clause_decay, phase \
-     (saved|target|negative|positive), rephase_interval, chrono, reduce_base, reduce_keep, \
-     reduce_lbd_protect, vivify_budget, arena_capacity, gc_fraction, inprocess_interval, \
+     (saved|negative|positive), reduce_base, reduce_keep, reduce_lbd_protect, vivify_budget, arena_capacity, gc_fraction, inprocess_interval, \
      share_max_len, share_max_lbd, probe_conflicts.  Example: $(b,--sat restart=geometric --sat \
      vivify_budget=0)."
   in
@@ -167,13 +151,12 @@ let proof_arg =
   Arg.(value & opt (some string) None & info [ "proof" ] ~docv:"FILE" ~doc)
 
 let term =
-  let make budget_seconds conflict_budget workers share cube_depth config simplify certify
+  let make budget_seconds conflict_budget workers cube_depth config simplify certify
       proof_file incremental symmetry default_device sat =
     {
       budget_seconds;
       conflict_budget;
       workers;
-      share;
       cube_depth;
       config;
       simplify;
@@ -186,7 +169,7 @@ let term =
     }
   in
   Term.(
-    const make $ budget_arg $ conflict_budget_arg $ workers_arg $ share_arg $ cube_depth_arg
+    const make $ budget_arg $ conflict_budget_arg $ workers_arg $ cube_depth_arg
     $ config_arg $ simplify_arg $ certify_arg $ proof_arg $ incremental_arg $ symmetry_arg
     $ default_device_arg $ sat_arg)
 
@@ -202,7 +185,7 @@ let options c =
   in
   let b = budget c and simplify = c.simplify in
   let certify = c.certify and proof_file = c.proof_file in
-  let workers = c.workers and share = c.share and cube_depth = c.cube_depth in
+  let workers = c.workers and cube_depth = c.cube_depth in
   let open Core.Synthesis.Options in
   let o = default |> with_config cfg |> with_budget b |> with_certify ?proof_file certify in
   let o = match simplify with Some b -> with_simplify b o | None -> o in
@@ -214,6 +197,6 @@ let options c =
     | Ok tu -> with_tuning tu o
     | Error _ -> o
   in
-  with_workers ?share ?cube_depth
+  with_workers ?cube_depth
     (match workers with Some n -> n | None -> o.parallel.workers)
     o

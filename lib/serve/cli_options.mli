@@ -1,5 +1,5 @@
 (** Shared Cmdliner terms for the synthesis knobs, so [olsq2 synth] and
-    [olsq2-serve] accept identical [-j] / [--share] / [--simplify] /
+    [olsq2-serve] accept identical [-j] / [--simplify] /
     [--budget] / [--conflict-budget] / [--cube-depth] / [-c] /
     [--certify] / [--proof] / [--incremental] / [--symmetry] /
     [--default-device] / [--sat] flags from one definition. *)
@@ -10,7 +10,6 @@ type common = {
   workers : int option;
       (** [None] defers to {!Olsq2_core.Synthesis.Options.default}
           (the [OLSQ2_WORKERS] environment variable, or 1) *)
-  share : bool option;
   cube_depth : int option;
   config : Olsq2_core.Config.t;
   simplify : bool option;

@@ -415,7 +415,7 @@ let test_profile_gc_accounting () =
   Alcotest.(check int) "outer collections exclusive" 2 outer.Obs.Profile.major_collections;
   Alcotest.(check int) "inner collections kept" 1 inner.Obs.Profile.major_collections
 
-let test_profile_merge_and_domains () =
+let test_profile_domains () =
   (* per-domain stack reconstruction: overlapping timestamps in different
      tids must not interleave *)
   let evs =
@@ -428,19 +428,7 @@ let test_profile_merge_and_domains () =
   Alcotest.(check int) "one stack across domains" 1 (List.length nodes);
   Alcotest.(check int) "both calls counted" 2 (profile_find nodes [ "r" ]).Obs.Profile.calls;
   Alcotest.(check (float 1e-9)) "durations summed" 2.0
-    (profile_find nodes [ "r" ]).Obs.Profile.total_seconds;
-  (* merge combines node lists path-wise (bench/regress: one tracer per
-     instance folded into one flamegraph) *)
-  let other =
-    Obs.Profile.of_events
-      [ mk_span "r" ~ts:0.0 ~dur:3.0 ~depth:0; mk_span "s" ~ts:0.5 ~dur:1.0 ~depth:1 ]
-  in
-  let m = Obs.Profile.merge nodes other in
-  Alcotest.(check int) "merged stacks" 2 (List.length m);
-  Alcotest.(check int) "merged calls" 3 (profile_find m [ "r" ]).Obs.Profile.calls;
-  Alcotest.(check (float 1e-9)) "merged self" 4.0 (profile_find m [ "r" ]).Obs.Profile.self_seconds;
-  Alcotest.(check (float 1e-9)) "merged child self" 1.0
-    (profile_find m [ "r"; "s" ]).Obs.Profile.self_seconds
+    (profile_find nodes [ "r" ]).Obs.Profile.total_seconds
 
 (* Live-tracer end-to-end: spans carry GC deltas, and the profile's
    self-times sum exactly to the root span's inclusive duration (the
@@ -692,7 +680,7 @@ let suite =
         Alcotest.test_case "chrome export" `Quick test_chrome_export;
         Alcotest.test_case "profile flamegraph golden" `Quick test_profile_flamegraph_golden;
         Alcotest.test_case "profile gc accounting" `Quick test_profile_gc_accounting;
-        Alcotest.test_case "profile merge + domains" `Quick test_profile_merge_and_domains;
+        Alcotest.test_case "profile domains" `Quick test_profile_domains;
         Alcotest.test_case "profile of live tracer" `Quick test_profile_of_tracer;
         Alcotest.test_case "solver records spans" `Quick test_solver_records_spans;
         Alcotest.test_case "solver stats + progress" `Quick test_solver_stats_and_progress;

@@ -182,42 +182,68 @@ let qaoa_instance () =
 let qft_instance () =
   Core.Instance.make ~swap_duration:3 (B.Standard.qft 3) (Devices.by_name "qx2")
 
-let run_with ~workers ~objective instance =
-  let options = Core.Synthesis.Options.(default |> with_workers workers) in
-  Core.Synthesis.run ~options ~objective instance
+let on_device ~swap_duration name circuit =
+  Core.Instance.make ~swap_duration circuit (Devices.by_name name)
 
+(* The session, the classic re-encode loop and the cube-and-conquer pool
+   must reach the same optimum on every case.  The cases cover both
+   objectives, simplification (which moves the run off the session onto
+   the classic encoder), a QUEKO construction, and symmetry breaking on
+   the 23-qubit heavy-hex lattice.  brick50 on heavy-hex-127 is too slow
+   for this suite; CI checks it through the CLI. *)
 let test_parallel_matches_sequential () =
+  let open Core.Synthesis in
+  let swaps = Swaps { warm_start = None } in
+  let bv = Core.Config.olsq2_bv in
+  let qaoa4 () = on_device ~swap_duration:1 "grid-2x2" (B.Qaoa.random ~seed:1 4) in
+  let queko5x12 () =
+    let device = Devices.grid 2 2 in
+    let spec = B.Queko.of_counts ~depth:5 ~total_gates:12 () in
+    Core.Instance.make ~swap_duration:3 (B.Queko.generate ~seed:7 device spec) device
+  in
   let cases =
     [
-      ("qaoa6-depth", qaoa_instance (), Core.Synthesis.Depth);
-      ("qft3-swaps", qft_instance (), Core.Synthesis.Swaps { warm_start = None });
+      ("qaoa6-depth", qaoa_instance (), bv, Depth);
+      ("qft3-swaps", qft_instance (), bv, swaps);
+      ("qaoa4-grid22-depth", qaoa4 (), bv, Depth);
+      ("qaoa4-grid22-swaps", qaoa4 (), bv, swaps);
+      ("qaoa4-grid22-swaps-simp", qaoa4 (), { bv with Core.Config.simplify = true }, swaps);
+      ("queko5x12-grid22-depth", queko5x12 (), bv, Depth);
+      ( "brick12-heavyhex23-depth",
+        on_device ~swap_duration:3 "heavy-hex-3x7" (B.Standard.brickwork 12),
+        { bv with Core.Config.symmetry = true },
+        Depth );
     ]
   in
   List.iter
-    (fun (name, instance, objective) ->
-      let seq = run_with ~workers:1 ~objective instance in
-      Alcotest.(check bool) (name ^ " sequential optimal") true seq.Core.Synthesis.optimal;
-      let seq_r = Option.get seq.Core.Synthesis.result in
+    (fun (name, instance, config, objective) ->
+      let run label options =
+        let report = run ~options:Options.(options |> with_config config) ~objective instance in
+        Alcotest.(check bool) (Printf.sprintf "%s optimal (%s)" name label) true report.optimal;
+        match report.result with
+        | None -> Alcotest.failf "%s: no result (%s)" name label
+        | Some r ->
+          Core.Validate.check_exn instance r;
+          r
+      in
+      let seq_r = run "session" Options.(default |> with_workers 1 |> with_incremental true) in
       List.iter
-        (fun workers ->
-          let par = run_with ~workers ~objective instance in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s optimal at %d workers" name workers)
-            true par.Core.Synthesis.optimal;
-          match par.Core.Synthesis.result with
-          | None -> Alcotest.failf "%s: no result at %d workers" name workers
-          | Some r ->
-            Core.Validate.check_exn instance r;
+        (fun (label, options) ->
+          let r = run label options in
+          Alcotest.(check int)
+            (Printf.sprintf "%s same depth (%s)" name label)
+            seq_r.Core.Result_.depth r.Core.Result_.depth;
+          match objective with
+          | Swaps _ ->
             Alcotest.(check int)
-              (Printf.sprintf "%s same depth at %d workers" name workers)
-              seq_r.Core.Result_.depth r.Core.Result_.depth;
-            (match objective with
-            | Core.Synthesis.Swaps _ ->
-              Alcotest.(check int)
-                (Printf.sprintf "%s same swaps at %d workers" name workers)
-                seq_r.Core.Result_.swap_count r.Core.Result_.swap_count
-            | _ -> ()))
-        [ 2; 8 ])
+              (Printf.sprintf "%s same swaps (%s)" name label)
+              seq_r.Core.Result_.swap_count r.Core.Result_.swap_count
+          | _ -> ())
+        [
+          ("classic re-encode", Options.(default |> with_workers 1 |> with_incremental false));
+          ("2 workers", Options.(default |> with_workers 2));
+          ("8 workers", Options.(default |> with_workers 8));
+        ])
     cases
 
 let test_parallel_certify () =

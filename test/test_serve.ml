@@ -52,7 +52,6 @@ let options_gen =
     let* certify = bool in
     let* proof_file = oneofl [ None; Some "out.drat" ] in
     let* workers = 1 -- 4 in
-    let* share = bool in
     let* cube_depth = oneofl [ None; Some 2 ] in
     let* incremental = bool in
     let* device = oneofl [ None; Some "qx2"; Some "heavy-hex-127" ] in
@@ -61,7 +60,7 @@ let options_gen =
         [
           Tuning.default;
           Tuning.(default |> with_restart ~mode:Geometric ~base:50 ~factor:1.5);
-          Tuning.(default |> with_phase ~mode:Phase_saved ~rephase_interval:0 |> with_chrono 0);
+          Tuning.(default |> with_phase Phase_negative);
           Tuning.(
             default |> with_vivify 0
             |> with_reduce ~keep:0.75 ~lbd_protect:2
@@ -84,7 +83,7 @@ let options_gen =
           };
         certify;
         proof_file;
-        parallel = { Options.workers; share; cube_depth };
+        parallel = { Options.workers; cube_depth };
         incremental;
         device;
         sat;
@@ -124,7 +123,10 @@ let test_options_bad () =
   bad {|{"config":{"cardinality":"maybe"}}|};
   bad {|{"sat":{"restart":"fibonacci"}}|};
   bad {|{"sat":{"no_such_knob":1}}|};
-  bad {|{"sat":{"var_decay":0.1}}|}
+  bad {|{"sat":{"var_decay":0.1}}|};
+  bad {|{"sat":{"chrono":64}}|};
+  bad {|{"parallel":{"share":true}}|};
+  bad {|{"certfy":true}|}
 
 (* A request with no top-level "device" falls back to options.device, the
    same field the daemon's --default-device flag fills. *)
@@ -301,6 +303,11 @@ let test_preempt_mid_run () =
   checkb "join after preempt is prompt" true (Unix.gettimeofday () -. t0 < 30.)
 
 (* ---- end-to-end against a live in-process server ---- *)
+
+let contains haystack needle =
+  let ln = String.length needle and lh = String.length haystack in
+  let rec go i = i + ln <= lh && (String.sub haystack i ln = needle || go (i + 1)) in
+  go 0
 
 let with_server ?(pool = 2) ?(handlers = 3) f =
   let cfg =
@@ -579,14 +586,24 @@ let test_async_jobs () =
       let status, _ = get port "/nosuch" in
       check Alcotest.int "unknown endpoint is 404" 404 status;
       let status, _ = post port "/synthesize" "{not json" in
-      check Alcotest.int "bad body is 400" 400 status)
+      check Alcotest.int "bad body is 400" 400 status;
+      (* removed and misspelt option keys are rejected by name, never
+         silently ignored *)
+      List.iter
+        (fun (options, key) ->
+          let status, body =
+            post port "/synthesize"
+              (Printf.sprintf {|{"circuit":"qft:3","device":"qx2","options":%s}|} options)
+          in
+          check Alcotest.int (options ^ " is 400") 400 status;
+          checkb (options ^ " names " ^ key) true (contains body key))
+        [
+          ({|{"parallel":{"share":false}}|}, "share");
+          ({|{"certfy":true}|}, "certfy");
+          ({|{"sat":{"chrono":64}}|}, "chrono");
+        ])
 
 (* ---- request-scoped tracing and observability endpoints ---- *)
-
-let contains haystack needle =
-  let ln = String.length needle and lh = String.length haystack in
-  let rec go i = i + ln <= lh && (String.sub haystack i ln = needle || go (i + 1)) in
-  go 0
 
 let test_request_tracing () =
   let log_path = Filename.temp_file "olsq2_access" ".jsonl" in
