@@ -260,18 +260,24 @@ let run () =
   in
   ignore (time encode_solve_kernel);
   let off = time encode_solve_kernel in
-  Simplify.reset_totals ();
   let on = time encode_solve_simplified_kernel in
-  let t = Simplify.totals () in
-  let reduction =
-    100.0
-    *. float_of_int (t.Simplify.total_clauses_before - t.Simplify.total_clauses_after)
-    /. float_of_int (max 1 t.Simplify.total_clauses_before)
+  (* the reduction comes from the simplify.* counters of one extra,
+     untimed, traced pass, so the timed passes run untraced *)
+  let counters =
+    let previous = Obs.global () in
+    let tracer = Obs.create () in
+    Obs.set_global tracer;
+    Fun.protect ~finally:(fun () -> Obs.set_global previous) (fun () ->
+        encode_solve_simplified_kernel ();
+        (Obs.summary tracer).Obs.counters)
   in
+  let count k = Option.value (List.assoc_opt k counters) ~default:0 in
   Printf.printf
     "encode+solve x%d  simplify off %.3fs  on %.3fs  (%+.1f%% end-to-end; clauses -%.1f%%, %d vars \
      eliminated per run)\n"
     iters off on
     (100.0 *. (on -. off) /. off)
-    reduction
-    (t.Simplify.total_eliminated / max 1 t.Simplify.runs)
+    (100.0
+    *. float_of_int (count "simplify.clauses_removed")
+    /. float_of_int (max 1 (count "simplify.clauses_before")))
+    (count "simplify.vars_eliminated" / max 1 (count "simplify.runs"))

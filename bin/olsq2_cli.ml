@@ -23,8 +23,9 @@ open Cmdliner
 (* ---- shared arguments ----
 
    The synthesis knobs (-j/--simplify/--budget/--conflict-budget/
-   --cube-depth/-c/--certify/--proof) come from Serve.Cli_options, the
-   single definition olsq2-serve parses too. *)
+   --cube-depth/-c/--certify/--proof/--incremental/--symmetry/--sat)
+   come from Serve.Cli_options, the single definition olsq2-serve parses
+   too. *)
 
 let circuit_arg =
   let doc =
@@ -74,44 +75,33 @@ let output_arg =
 
 let trace_arg =
   let doc =
-    "Record a trace of the run and write it to $(docv): JSON lines by default, or a Chrome \
-     trace_event file (Perfetto / chrome://tracing loadable) when $(docv) ends in .json.  \
-     $(b,--trace-out) is an alias."
+    "Record a trace of the run and write it to $(docv), in the format its suffix names: .json a \
+     Chrome trace_event file (Perfetto / chrome://tracing loadable), .folded a collapsed-stack \
+     span profile (self time per span stack, in microseconds; render it with flamegraph.pl or \
+     inferno-flamegraph), .prom the run's counters, span totals and histograms in Prometheus \
+     text exposition format; any other suffix JSON lines."
   in
-  Arg.(value & opt (some string) None & info [ "trace"; "trace-out" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc =
-    "Print a per-span timing and counter summary after the run on stderr (results stay on \
-     stdout); use $(b,--metrics-out) to write it to a file instead."
-  in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let metrics_out_arg =
-  let doc = "Write the per-span timing and counter summary to $(docv) instead of stderr." in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let stats_arg =
   let doc =
-    "Solver introspection: print live $(i,bound=... conflicts=... learnt=...) heartbeat lines on \
-     stderr during long solves, and after the run an aggregate solver-statistics block (conflicts, \
-     propagations/sec, LBD and trail-depth percentiles) plus a per-bound-iteration table."
+    "Explain the run on stderr (results stay on stdout): live $(i,bound=... conflicts=... \
+     learnt=...) heartbeat lines during long solves, then the plan (oracle, effective config, \
+     pool, certification path and every option it changed or ignored), why the run stopped, the \
+     per-span timing and counter summary with the simplification reduction, an aggregate \
+     solver-statistics block (conflicts, propagations/sec, LBD and trail-depth percentiles) and a \
+     per-bound-iteration table."
   in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
-let prom_arg =
+let record_arg =
   let doc =
-    "Write the run's metric summary (counters, span totals, histograms) to $(docv) in Prometheus \
-     text exposition format, e.g. for a node_exporter textfile collector."
+    "Write the run record to $(docv) as one JSON object: the options as run, the plan and its \
+     overrides, why the run stopped, the iteration timeline, solver totals, the certificate, the \
+     trace counters and span totals, and the environment defaults read.  Exact and TB methods \
+     only."
   in
-  Arg.(value & opt (some string) None & info [ "prom" ] ~docv:"FILE" ~doc)
-
-let flamegraph_arg =
-  let doc =
-    "Write a collapsed-stack span profile (self time per span stack, in microseconds) to \
-     $(docv); render it with flamegraph.pl or inferno-flamegraph."
-  in
-  Arg.(value & opt (some string) None & info [ "flamegraph" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some string) None & info [ "record" ] ~docv:"FILE" ~doc)
 
 (* ---- synth ---- *)
 
@@ -134,12 +124,16 @@ let print_stats_block ~label agg (iters : Core.Optimizer.iter_stat list) =
     flush stderr
   end
 
+let write_file path f =
+  let oc = open_out path in
+  f oc;
+  close_out oc
+
 let run_synth circuit_spec device_name (common : Cli_options.common) swap_duration objective
-    method_ warm output trace metrics metrics_out stats prom flamegraph =
+    method_ warm output trace stats record =
   let certify = common.Cli_options.certify in
   let obs =
-    if trace <> None || metrics || metrics_out <> None || prom <> None || flamegraph <> None
-    then (
+    if trace <> None || stats || record <> None then (
       let t = Obs.create () in
       Obs.set_global t;
       t)
@@ -205,6 +199,9 @@ let run_synth circuit_spec device_name (common : Cli_options.common) swap_durati
       Printf.printf
         "--certify requires an exact method with a refutable bound; use -m olsq2\n";
       1
+    | (`Sabre | `Astar | `Satmap) when record <> None ->
+      Printf.printf "--record requires the olsq2 or tb method\n";
+      1
     | `Olsq2 | `Tb ->
       let synth_objective =
         match (method_, objective) with
@@ -224,52 +221,44 @@ let run_synth circuit_spec device_name (common : Cli_options.common) swap_durati
       (match (method_, r.Core.Synthesis.pareto) with
       | `Tb, (blocks, _) :: _ -> Printf.printf "blocks used: %d\n" blocks
       | _ -> ());
-      if stats then
-        print_stats_block ~label:"run" r.Core.Synthesis.solver_stats r.Core.Synthesis.iter_stats;
-      finish ?certificate:r.Core.Synthesis.certificate r.Core.Synthesis.result
+      if stats then begin
+        Format.eprintf "@[<v>%a@,stop: %s@]@." Core.Synthesis.pp_plan r.Core.Synthesis.plan
+          (Core.Synthesis.stop_to_string r.Core.Synthesis.stop);
+        print_stats_block ~label:"run" r.Core.Synthesis.solver_stats r.Core.Synthesis.iter_stats
+      end;
+      let code = finish ?certificate:r.Core.Synthesis.certificate r.Core.Synthesis.result in
+      Option.iter
+        (fun path ->
+          write_file path (fun oc ->
+              output_string oc
+                (Obs.Json.to_string
+                   (Core.Synthesis.report_to_json ~options ~objective:synth_objective r));
+              output_char oc '\n');
+          Printf.printf "record written to %s\n" path)
+        record;
+      code
     | `Sabre -> finish (Some (Sabre.synthesize instance))
     | `Astar -> finish (Astar.synthesize instance)
     | `Satmap ->
       let o = Satmap.synthesize ?budget_seconds:common.Cli_options.budget_seconds instance in
       finish o.Satmap.result
   in
-  if stats then Core.Optimizer.set_progress_sink None;
-  (match trace with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    if Filename.check_suffix path ".json" then Obs.write_chrome obs oc
-    else Obs.write_jsonl obs oc;
-    close_out oc;
-    Printf.printf "trace written to %s\n" path);
-  if metrics || metrics_out <> None then begin
-    let render fmt =
-      Format.fprintf fmt "%a@?" Obs.pp_summary (Obs.summary obs);
-      Format.fprintf fmt "simplify: %s@." (Olsq2_simplify.Simplify.totals_summary ())
-    in
-    if metrics then render Format.err_formatter;
-    match metrics_out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      render (Format.formatter_of_out_channel oc);
-      close_out oc;
-      Printf.printf "metrics written to %s\n" path
+  if stats then begin
+    Core.Optimizer.set_progress_sink None;
+    let summary = Obs.summary obs in
+    Format.eprintf "%a@?%s@." Obs.pp_summary summary
+      (Olsq2_simplify.Simplify.counters_summary summary)
   end;
-  (match prom with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Obs.write_prometheus obs oc;
-    close_out oc;
-    Printf.printf "prometheus metrics written to %s\n" path);
-  (match flamegraph with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Obs.Profile.write_flamegraph obs oc;
-    close_out oc;
-    Printf.printf "flamegraph written to %s\n" path);
+  Option.iter
+    (fun path ->
+      write_file path (fun oc ->
+          match Filename.extension path with
+          | ".json" -> Obs.write_chrome obs oc
+          | ".folded" -> Obs.Profile.write_flamegraph obs oc
+          | ".prom" -> Obs.write_prometheus obs oc
+          | _ -> Obs.write_jsonl obs oc);
+      Printf.printf "trace written to %s\n" path)
+    trace;
   code
 
 let synth_cmd =
@@ -278,8 +267,8 @@ let synth_cmd =
     (Cmd.info "synth" ~doc)
     Term.(
       const run_synth $ circuit_arg $ device_arg $ Cli_options.term $ swap_duration_arg
-      $ objective_arg $ method_arg $ warm_start_arg $ output_arg $ trace_arg $ metrics_arg
-      $ metrics_out_arg $ stats_arg $ prom_arg $ flamegraph_arg)
+      $ objective_arg $ method_arg $ warm_start_arg $ output_arg $ trace_arg $ stats_arg
+      $ record_arg)
 
 (* ---- generate ---- *)
 

@@ -25,6 +25,13 @@ let cache_capacity_arg =
   let doc = "Maximum cached results (canonically keyed, FIFO eviction)." in
   Arg.(value & opt int 256 & info [ "cache-capacity" ] ~docv:"N" ~doc)
 
+let default_device_arg =
+  let doc =
+    "Default target device by name (e.g. $(b,heavy-hex-127)); requests without an explicit \
+     device resolve against it.  `olsq2 devices` lists names and accepted patterns."
+  in
+  Arg.(value & opt (some string) None & info [ "default-device" ] ~docv:"NAME" ~doc)
+
 let verbose_arg =
   let doc = "Log request lifecycle on stderr." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
@@ -36,8 +43,8 @@ let access_log_arg =
   in
   Arg.(value & opt (some string) None & info [ "access-log" ] ~docv:"FILE" ~doc)
 
-let run (common : Serve.Cli_options.common) port host pool handlers cache_capacity verbose
-    access_log =
+let run (common : Serve.Cli_options.common) port host pool handlers cache_capacity
+    default_device verbose access_log =
   (* the shared synthesis flags become the per-request defaults: a
      request without an "options" object runs under them, and the
      daemon's --budget backstops requests that bring none of their own *)
@@ -48,7 +55,11 @@ let run (common : Serve.Cli_options.common) port host pool handlers cache_capaci
       pool_workers = pool;
       handlers;
       cache_capacity;
-      default_options = Serve.Cli_options.options common;
+      default_options =
+        (let o = Serve.Cli_options.options common in
+         match default_device with
+         | Some d -> Olsq2_core.Synthesis.Options.with_device d o
+         | None -> o);
       verbose;
       access_log;
     }
@@ -72,6 +83,6 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ Serve.Cli_options.term $ port_arg $ host_arg $ pool_arg $ handlers_arg
-      $ cache_capacity_arg $ verbose_arg $ access_log_arg)
+      $ cache_capacity_arg $ default_device_arg $ verbose_arg $ access_log_arg)
 
 let () = exit (Cmd.eval' cmd)

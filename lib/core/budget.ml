@@ -59,6 +59,8 @@ let to_assoc b =
       | None -> []);
     ]
 
+let known_keys = [ "wall_seconds"; "max_conflicts"; "per_bound_seconds" ]
+
 let of_assoc assoc =
   let float_field name k =
     match List.assoc_opt name assoc with
@@ -78,12 +80,16 @@ let of_assoc assoc =
         Error (Printf.sprintf "%s: expected a non-negative integer, got %S" name s))
   in
   match
-    (float_field "wall_seconds" "wall_seconds", int_field "max_conflicts",
-     float_field "per_bound_seconds" "per_bound_seconds")
+    ( List.find_opt (fun (k, _) -> not (List.mem k known_keys)) assoc,
+      float_field "wall_seconds" "wall_seconds",
+      int_field "max_conflicts",
+      float_field "per_bound_seconds" "per_bound_seconds" )
   with
-  | Ok wall_seconds, Ok max_conflicts, Ok per_bound_seconds ->
+  | Some (k, _), _, _, _ ->
+    Error (Printf.sprintf "unknown budget key %S (known: %s)" k (String.concat ", " known_keys))
+  | None, Ok wall_seconds, Ok max_conflicts, Ok per_bound_seconds ->
     Ok { wall_seconds; max_conflicts; per_bound_seconds; control = None }
-  | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
+  | None, Error e, _, _ | None, _, Error e, _ | None, _, _, Error e -> Error e
 
 type state = {
   limits : t;
@@ -104,8 +110,11 @@ let remaining_seconds st =
 let conflicts_left st =
   match st.limits.max_conflicts with None -> None | Some m -> Some (m - st.conflicts_spent)
 
+let interrupted st =
+  match st.limits.control with Some ctl -> preempted ctl | None -> false
+
 let exhausted st =
-  (match st.limits.control with Some ctl -> preempted ctl | None -> false)
+  interrupted st
   || (match st.deadline with Some d -> Stopwatch.now () >= d | None -> false)
   || match conflicts_left st with Some c -> c <= 0 | None -> false
 

@@ -71,8 +71,9 @@ val equal : t -> t -> bool
 (** Stable key/value rendering of the non-default limit fields. *)
 val to_assoc : t -> (string * string) list
 
-(** Inverse of {!to_assoc}: missing keys mean unlimited; malformed or
-    negative values are an [Error].  The result never carries a control. *)
+(** Inverse of {!to_assoc}: missing keys mean unlimited; unknown keys and
+    malformed or negative values are an [Error] naming them.  The result
+    never carries a control. *)
 val of_assoc : (string * string) list -> (t, string) result
 
 (** A running account: fixed wall deadline plus spent conflicts. *)
@@ -82,6 +83,9 @@ val start : t -> state
 
 (** Wall seconds left ([infinity] when unlimited). *)
 val remaining_seconds : state -> float
+
+(** [true] once the budget's control was preempted. *)
+val interrupted : state -> bool
 
 (** [true] once the deadline passed, the conflict cap is spent, or the
     budget's control was preempted. *)

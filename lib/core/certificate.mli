@@ -125,6 +125,15 @@ val finish :
 
 (** {2 The classic fallback} *)
 
+(** The configuration the classic fallback refutes on: [config] with
+    symmetry breaking stripped (a refutation of the orbit-restricted CNF
+    certifies only the restricted problem) and the lazy-integer encoding
+    replaced by the bit-vector one (the checker cannot replay theory
+    lemmas).  {!certify_depth} and {!certify_swaps} apply it themselves,
+    so the certified statement is about the instance whatever [config]
+    they are given. *)
+val pure_sat_config : Config.t -> Config.t
+
 (** [certify_depth instance model ~depth] certifies that [depth] is the
     minimal circuit depth: [model] validated at [depth], checked UNSAT
     proof for [depth - 1] on a fresh classic encoder.  [proof_file]

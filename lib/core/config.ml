@@ -101,9 +101,18 @@ let to_assoc c =
   ]
 
 (* Inverse of [to_assoc].  Missing keys take [default]'s value, so a wire
-   request can override just the fields it cares about; unknown keys are
-   ignored (forward compatibility), unknown values are an error. *)
+   request can override just the fields it cares about; unknown keys and
+   unknown values are an error naming them, so a misspelt field is never
+   a silent no-op. *)
 let of_assoc assoc =
+  let ( let* ) r f = Result.bind r f in
+  let* () =
+    let known = List.map fst (to_assoc default) in
+    match List.find_opt (fun (k, _) -> not (List.mem k known)) assoc with
+    | None -> Ok ()
+    | Some (k, _) ->
+      Error (Printf.sprintf "unknown config key %S (known: %s)" k (String.concat ", " known))
+  in
   let field name ~of_string ~default =
     match List.assoc_opt name assoc with
     | None -> Ok default
@@ -112,7 +121,6 @@ let of_assoc assoc =
       | Some v -> Ok v
       | None -> Error (Printf.sprintf "%s: unknown value %S" name s))
   in
-  let ( let* ) r f = Result.bind r f in
   let* formulation =
     field "formulation" ~default:default.formulation ~of_string:(function
       | "olsq" -> Some Olsq

@@ -64,8 +64,8 @@ val cardinality_name : cardinality -> string
     metrics serialization). *)
 val to_assoc : t -> (string * string) list
 
-(** Inverse of {!to_assoc}: missing keys take {!default}'s value, unknown
-    keys are ignored, unknown values are an [Error].  Round trip:
+(** Inverse of {!to_assoc}: missing keys take {!default}'s value; unknown
+    keys and unknown values are an [Error] naming them.  Round trip:
     [of_assoc (to_assoc c) = Ok c]. *)
 val of_assoc : (string * string) list -> (t, string) result
 

@@ -233,7 +233,7 @@ let charged_solve run solver ~pool_capable ?(extra = []) direct assumptions =
    grows only when needed and its [next_bound] first tries the largest
    bound the current horizon expresses.  Either way every UNSAT already
    proven stays valid after growth, so the ascent just continues. *)
-type oracle = {
+type bounds = {
   solver : unit -> Solver.t; (* the current solver (rebuilds replace it) *)
   solve : Lit.t list -> Solver.result; (* budget-charged, pool-aware *)
   ensure_horizon : int -> unit;
@@ -638,8 +638,20 @@ let refute_on o objective (out : outcome) =
       { out with refutation = Some refutation })
   | Some _ | None -> out
 
-let optimize ~config ~incremental ~budget ?pool ?proof objective instance =
-  if proof <> None && ((not incremental) || pool <> None) then
+type oracle = Session | Classic | Transition_based
+
+let optimize ~config ~oracle ~budget ?pool ?proof objective instance =
+  (match (oracle, objective) with
+  | (Session | Classic), (Depth | Swaps _) | Transition_based, (Tb_blocks | Tb_swaps) -> ()
+  | (Session | Classic), Weighted_swaps _ ->
+    (* orbit symmetry breaking is unsound under per-edge weights: distinct
+       members of an edge orbit can carry different costs *)
+    if config.Config.symmetry then
+      invalid_arg "Optimizer.optimize: symmetry breaking is unsound for weighted SWAPs"
+  | Transition_based, (Depth | Swaps _ | Weighted_swaps _)
+  | (Session | Classic), (Tb_blocks | Tb_swaps) ->
+    invalid_arg "Optimizer.optimize: TB objectives take the transition-based oracle, and only they");
+  if proof <> None && (oracle <> Session || pool <> None) then
     invalid_arg "Optimizer.optimize: proof logging needs the session oracle and no pool";
   let run =
     {
@@ -652,15 +664,16 @@ let optimize ~config ~incremental ~budget ?pool ?proof objective instance =
     }
   in
   let t_lb = max 1 (Instance.depth_lower_bound instance) in
-  let oracle config =
+  let bounds () =
     let t_max = max (t_lb + 1) (Instance.depth_upper_bound instance) in
-    if incremental then session_oracle ?proof run ~config instance ~t_max
-    else encoder_oracle run ~config instance ~t_max
+    match oracle with
+    | Session -> session_oracle ?proof run ~config instance ~t_max
+    | Classic | Transition_based -> encoder_oracle run ~config instance ~t_max
   in
   let certify o out = match proof with Some _ -> refute_on o objective out | None -> out in
   match objective with
   | Depth ->
-    let o = oracle config in
+    let o = bounds () in
     let out =
       match minimize_depth run o ~t_lb with
       | None -> outcome run ~optimal:false []
@@ -669,11 +682,8 @@ let optimize ~config ~incremental ~budget ?pool ?proof objective instance =
     in
     certify o out
   | Swaps { warm_start } ->
-    let o = oracle config in
+    let o = bounds () in
     certify o (minimize_swaps run o ~t_lb ~warm_start)
-  | Weighted_swaps weights ->
-    (* orbit symmetry breaking is unsound under per-edge weights: distinct
-       members of an edge orbit can carry different costs *)
-    minimize_weighted_swaps run (oracle { config with Config.symmetry = false }) ~t_lb ~weights
+  | Weighted_swaps weights -> minimize_weighted_swaps run (bounds ()) ~t_lb ~weights
   | Tb_blocks -> minimize_tb_blocks run ~config instance
   | Tb_swaps -> minimize_tb_swaps run ~config instance

@@ -2,8 +2,8 @@
     assumption-driven bound search over incremental solver state.
 
     This is the engine behind {!Synthesis.run}, which is the entry point
-    to call: it picks the bound oracle, creates the pool and wraps the
-    result in a {!Synthesis.report}.  Every loop (depth ascent/descent,
+    to call: its {!Synthesis.plan} picks the bound oracle and the pool,
+    and it wraps the result in a {!Synthesis.report}.  Every loop (depth ascent/descent,
     the (depth, SWAP) Pareto sweep, the weighted descent, TB block and
     SWAP search) is written once over a bound oracle — the
     horizon-extension {!Olsq2_incremental.Session} or the classic
@@ -76,26 +76,31 @@ type outcome = {
     TB objectives, which have no direct CNF bound to refute. *)
 val certified_claim : objective -> Result_.t -> (Certificate.objective * int) option
 
-(** [optimize ~config ~incremental ~budget ?pool ?proof objective
-    instance] runs the refinement loop for [objective].  [incremental]
-    picks the bound oracle for the full-model objectives: one persistent
-    session (which ignores [config]'s formulation/encoding/simplify arms)
-    or the classic encoder rebuilt per horizon (which honours them); TB
-    objectives rebuild per block count either way.  [budget] is the
-    run's started budget, so the deadline is fixed across the whole
-    refinement and anything run after it.  [pool], when given and the
-    encoding is plain CNF, solves bound queries cube-and-conquer style;
-    replica effort is merged into the master's stats, so [iter_stats]
-    and the conflict budget account for it.  [proof] is installed on the
-    session before its first clause; after a proved-optimal [Depth] or
-    [Swaps] run, the bound below the optimum is refuted on the same
-    solver (outside the iteration count) and returned as [refutation].
-    It needs [incremental] and no [pool] ([Invalid_argument]
-    otherwise).  Weighted objectives force [config.symmetry] off (orbit
-    members can carry different weights). *)
+(** The bound oracle a run solves on: the persistent horizon-extension
+    {!Olsq2_incremental.Session}, the classic {!Encoder} rebuilt per
+    horizon, or the TB-OLSQ2 {!Tb_encoder} rebuilt per block count. *)
+type oracle = Session | Classic | Transition_based
+
+(** [optimize ~config ~oracle ~budget ?pool ?proof objective instance]
+    runs the refinement loop for [objective] on [oracle], as
+    {!Synthesis.plan} chose it.  The session ignores [config]'s
+    formulation/encoding/simplify arms; the classic encoder honours
+    them.  [budget] is the run's started budget, so the deadline is
+    fixed across the whole refinement and anything run after it.
+    [pool], when given and the encoding is plain CNF, solves bound
+    queries cube-and-conquer style; replica effort is merged into the
+    master's stats, so [iter_stats] and the conflict budget account for
+    it.  [proof] is installed on the session before its first clause;
+    after a proved-optimal [Depth] or [Swaps] run, the bound below the
+    optimum is refuted on the same solver (outside the iteration count)
+    and returned as [refutation].  [Invalid_argument] when [proof] is
+    given without the session or with a [pool], when the oracle does not
+    fit the objective ([Transition_based] exactly for the TB
+    objectives), or when a [Weighted_swaps] config has symmetry on
+    (orbit members can carry different weights). *)
 val optimize :
   config:Config.t ->
-  incremental:bool ->
+  oracle:oracle ->
   budget:Budget.state ->
   ?pool:Olsq2_parallel.Pool.t ->
   ?proof:Olsq2_sat.Solver.proof_logger ->

@@ -12,7 +12,6 @@ module Options = struct
 
   type t = {
     config : Config.t;
-    simplify : bool option;
     budget : Budget.t;
     certify : bool;
     proof_file : string option;
@@ -21,7 +20,7 @@ module Options = struct
         (* solve depth/SWAP objectives on one persistent
            horizon-extension session (lib/incremental) instead of
            re-encoding per horizon, unless the config needs the classic
-           encoder (see [run]); TB objectives ignore it *)
+           encoder (see [plan]); TB objectives ignore it *)
     device : string option;
         (* named device (Devices.by_name) this request targets; carried
            here so wire requests and the CLI can select topology and
@@ -48,8 +47,13 @@ module Options = struct
     | Some b -> Ok b
     | None -> Error (Printf.sprintf "OLSQ2_INCREMENTAL=%S: expected true or false" s)
 
+  (* The raw values, read once, so a run record can say what the
+     defaults came from. *)
+  let env =
+    List.map (fun name -> (name, Sys.getenv_opt name)) [ "OLSQ2_WORKERS"; "OLSQ2_INCREMENTAL" ]
+
   let from_env name parse ~default =
-    match Sys.getenv_opt name with
+    match List.assoc name env with
     | None -> default
     | Some s -> ( match parse s with Ok v -> v | Error msg -> invalid_arg msg)
 
@@ -70,7 +74,6 @@ module Options = struct
   let default =
     {
       config = Config.default;
-      simplify = None;
       budget = Budget.unlimited;
       certify = false;
       proof_file = None;
@@ -81,7 +84,7 @@ module Options = struct
     }
 
   let with_config config t = { t with config }
-  let with_simplify simplify t = { t with simplify = Some simplify }
+  let with_simplify simplify t = { t with config = { t.config with Config.simplify } }
   let with_budget budget t = { t with budget }
   let with_certify ?(proof_file : string option) certify t = { t with certify; proof_file }
   let with_incremental incremental t = { t with incremental }
@@ -101,7 +104,7 @@ module Options = struct
   (* [Budget.control] is a runtime handle: ignored here, and skipped by
      the codec below. *)
   let equal a b =
-    a.config = b.config && a.simplify = b.simplify
+    a.config = b.config
     && Budget.equal a.budget b.budget
     && a.certify = b.certify && a.proof_file = b.proof_file && a.parallel = b.parallel
     && a.incremental = b.incremental && a.device = b.device
@@ -155,7 +158,6 @@ module Options = struct
   let to_assoc t =
     [
       ("config", string_assoc_to_json (Config.to_assoc t.config));
-      ("simplify", match t.simplify with None -> Json.Null | Some b -> Json.Bool b);
       ("budget", string_assoc_to_json (Budget.to_assoc t.budget));
       ("certify", Json.Bool t.certify);
       ("proof_file", match t.proof_file with None -> Json.Null | Some f -> Json.Str f);
@@ -201,12 +203,6 @@ module Options = struct
       | Some j ->
         let* kvs = json_to_string_assoc "config" j in
         Config.of_assoc kvs
-    in
-    let* simplify =
-      match find "simplify" with
-      | None | Some Json.Null -> Ok None
-      | Some (Json.Bool b) -> Ok (Some b)
-      | Some _ -> Error "simplify: expected a bool or null"
     in
     let* budget =
       match find "budget" with
@@ -257,7 +253,7 @@ module Options = struct
         let* kvs = json_to_string_assoc "sat" j in
         Olsq2_sat.Tuning.of_assoc kvs
     in
-    Ok { config; simplify; budget; certify; proof_file; parallel; incremental; device; sat }
+    Ok { config; budget; certify; proof_file; parallel; incremental; device; sat }
 
   let of_json = function
     | Json.Obj assoc -> of_assoc assoc
@@ -271,6 +267,138 @@ type objective = Optimizer.objective =
   | Tb_blocks
   | Tb_swaps
 
+let objective_name = function
+  | Depth -> "depth"
+  | Swaps _ -> "swaps"
+  | Weighted_swaps _ -> "weighted_swaps"
+  | Tb_blocks -> "tb_blocks"
+  | Tb_swaps -> "tb_swaps"
+
+(* ---- the plan: every decision a run makes, made here ---- *)
+
+type oracle = Optimizer.oracle = Session | Classic | Transition_based
+
+type certification = No_certificate | On_session | Classic_fallback of Config.t
+
+type plan = {
+  config : Config.t;
+  oracle : oracle;
+  workers : int;
+  cube_depth : int option;
+  certification : certification;
+  proof_file : string option;
+  overrides : (string * string) list;
+}
+
+let note cond field reason = if cond then [ (field, reason) ] else []
+
+(* The config fields, other than symmetry, the session does not encode:
+   it is a fixed one-hot ladder without preprocessing. *)
+let session_mismatch config =
+  let default = Config.to_assoc Config.default in
+  List.filter_map
+    (fun (k, v) ->
+      if k = "symmetry" || List.assoc k default = v then None else Some (k ^ "=" ^ v))
+    (Config.to_assoc config)
+
+let plan (options : Options.t) objective (_ : Instance.t) =
+  let asked = options.Options.config in
+  let config, config_notes =
+    match objective with
+    | Tb_blocks | Tb_swaps ->
+      ( {
+          asked with
+          Config.symmetry = false;
+          simplify = false;
+          formulation = Config.default.Config.formulation;
+        },
+        List.concat
+          [
+            note asked.Config.symmetry "symmetry" "ignored: TB-OLSQ2 has no symmetry breaking";
+            note asked.Config.simplify "simplify" "ignored: TB-OLSQ2 does not preprocess";
+            note
+              (asked.Config.formulation <> Config.default.Config.formulation)
+              "formulation" "ignored: TB-OLSQ2 has its own transition formulation";
+          ] )
+    | Weighted_swaps _ ->
+      ( { asked with Config.symmetry = false },
+        note asked.Config.symmetry "symmetry"
+          "off for weighted SWAPs: orbit members can carry different weights" )
+    | Depth | Swaps _ -> (asked, [])
+  in
+  let oracle, oracle_notes =
+    match (objective, options.Options.incremental, session_mismatch config) with
+    | (Tb_blocks | Tb_swaps), incremental, _ ->
+      ( Transition_based,
+        note incremental "incremental" "ignored: TB-OLSQ2 rebuilds its encoding per block count" )
+    | (Depth | Swaps _ | Weighted_swaps _), false, _ -> (Classic, [])
+    | (Depth | Swaps _ | Weighted_swaps _), true, [] -> (Session, [])
+    | (Depth | Swaps _ | Weighted_swaps _), true, arms ->
+      ( Classic,
+        [ ("incremental", "session replaced by the classic encoder: " ^ String.concat ", " arms) ] )
+  in
+  let asked_workers = options.Options.parallel.Options.workers in
+  let workers, pool_notes =
+    match config.Config.var_encoding with
+    | Config.Lazy_int when asked_workers > 1 ->
+      (1, [ ("workers", "the lazy-int arm is not pool-capable: solved sequentially") ])
+    | Config.Lazy_int | Config.Onehot | Config.Binary -> (asked_workers, [])
+  in
+  let asked_cube_depth = options.Options.parallel.Options.cube_depth in
+  let cube_depth = if workers > 1 then asked_cube_depth else None in
+  let certification, cert_notes =
+    match (options.Options.certify, objective) with
+    | false, _ -> (No_certificate, [])
+    | true, Weighted_swaps _ ->
+      (No_certificate, [ ("certify", "no certificate for weighted SWAPs: no CNF bound to refute") ])
+    | true, (Tb_blocks | Tb_swaps) ->
+      (No_certificate, [ ("certify", "no certificate for TB objectives: no CNF bound to refute") ])
+    | true, (Depth | Swaps _) -> (
+      let fallback = "certified by a classic re-solve: " in
+      match
+        List.concat
+          [
+            note config.Config.symmetry "symmetry"
+              (fallback ^ "the checker cannot lift a refutation of the orbit-restricted formula");
+            note (workers > 1) "workers" (fallback ^ "pool queries are not proof-logged");
+            note (oracle = Classic) "certify" (fallback ^ "only the session is certified in place");
+          ]
+      with
+      | [] -> (On_session, [])
+      | reasons -> (Classic_fallback (Certificate.pure_sat_config config), reasons))
+  in
+  let proof_file =
+    match certification with
+    | No_certificate -> None
+    | On_session | Classic_fallback _ -> options.Options.proof_file
+  in
+  {
+    config;
+    oracle;
+    workers;
+    cube_depth;
+    certification;
+    proof_file;
+    overrides =
+      List.concat
+        [
+          config_notes;
+          oracle_notes;
+          pool_notes;
+          note (asked_cube_depth <> cube_depth) "cube_depth" "ignored at workers=1";
+          cert_notes;
+          note
+            (options.Options.proof_file <> proof_file)
+            "proof_file"
+            (if options.Options.certify then "ignored: no certificate is built"
+             else "ignored without certify");
+        ];
+  }
+
+(* ---- running a plan ---- *)
+
+type stop = Optimal | Budget_spent of int option | Interrupted | No_solution
+
 type report = {
   result : Result_.t option;
   optimal : bool;
@@ -281,104 +409,265 @@ type report = {
   solver_stats : Olsq2_sat.Solver.stats;
   iter_stats : Optimizer.iter_stat list;
   certificate : Certificate.t option;
+  plan : plan;
+  stop : stop;
 }
 
-let objective_name = function
-  | Depth -> "depth"
-  | Swaps _ -> "swaps"
-  | Weighted_swaps _ -> "weighted_swaps"
-  | Tb_blocks -> "tb_blocks"
-  | Tb_swaps -> "tb_swaps"
+(* An unknown verdict means a solve ran out of budget (the global caps
+   or the per-bound one); a run that ends unproved without one found
+   nothing to prove. *)
+let stop_of ~budget (o : Optimizer.outcome) =
+  let spent =
+    Budget.exhausted budget
+    || List.exists
+         (fun (it : Optimizer.iter_stat) ->
+           String.starts_with ~prefix:"unknown" it.Optimizer.iter_verdict)
+         o.Optimizer.iter_stats
+  in
+  if o.Optimizer.optimal then Optimal
+  else if Budget.interrupted budget then Interrupted
+  else if o.Optimizer.result = None && not spent then No_solution
+  else
+    Budget_spent
+      (match List.rev o.Optimizer.iter_stats with
+      | it :: _ -> Some it.Optimizer.iter_bound
+      | [] -> None)
 
-let of_outcome (o : Optimizer.outcome) ~trace =
-  {
-    result = o.Optimizer.result;
-    optimal = o.Optimizer.optimal;
-    iterations = o.Optimizer.iterations;
-    seconds = o.Optimizer.total_seconds;
-    pareto = o.Optimizer.pareto;
-    trace;
-    solver_stats = o.Optimizer.stats;
-    iter_stats = o.Optimizer.iter_stats;
-    certificate = None;
-  }
-
-(* The classic fallback: a fresh proof-logged pure-CNF encoder refutes
-   the bound below the run's optimum, under what is left of the run's
-   budget and attached to its preemption control. *)
-let certificate_for ~config ~budget ~objective ~proof_file (report : report) instance =
-  match report.result with
-  | Some res when report.optimal -> (
+(* The session path checks the refutation [optimize] left in the sink;
+   the classic fallback refutes the bound below the optimum on a fresh
+   proof-logged pure-CNF encoder, under what is left of the run's budget
+   and attached to its preemption control. *)
+let certify plan ~budget ~sink ~objective instance (o : Optimizer.outcome) =
+  let proof_file = plan.proof_file in
+  match (plan.certification, sink, o.Optimizer.result) with
+  | On_session, Some sink, Some res ->
+    Option.map (Certificate.finish ?proof_file ~sink instance res) o.Optimizer.refutation
+  | Classic_fallback config, _, Some res when o.Optimizer.optimal -> (
     match Optimizer.certified_claim objective res with
     | Some (Certificate.Depth, depth) ->
       Some (Certificate.certify_depth ~config ~budget ?proof_file instance res ~depth)
     | Some (Certificate.Swaps_at_depth depth, swaps) ->
       Some (Certificate.certify_swaps ~config ~budget ?proof_file instance res ~depth ~swaps)
     | None -> None)
-  | Some _ | None -> None
+  | (No_certificate | On_session | Classic_fallback _), _, _ -> None
 
 let run ?(options = Options.default) ~objective instance =
-  (* [simplify] overrides the config's flag, so callers can toggle
-     preprocessing without assembling a Config by hand; the override also
-     reaches the certification fallback below through [config]. *)
-  let config =
-    match options.Options.simplify with
-    | None -> options.Options.config
-    | Some b -> { options.Options.config with Config.simplify = b }
-  in
+  let plan = plan options objective instance in
   let budget = Budget.start options.Options.budget in
-  let par = options.Options.parallel in
   Olsq2_sat.Tuning.with_ambient options.Options.sat @@ fun () ->
   (* The pool parallelizes single bound queries (cube-and-conquer over
      worker domains); it is created per run and passed down so every
      refinement loop can route its hard queries through it. *)
   let pool =
-    if par.Options.workers > 1 then
+    if plan.workers > 1 then
       Some
-        (Pool.create ~workers:par.Options.workers ?cube_depth:par.Options.cube_depth
+        (Pool.create ~workers:plan.workers ?cube_depth:plan.cube_depth
            ~tuning:options.Options.sat ())
     else None
   in
+  let sink =
+    match plan.certification with
+    | On_session -> Some (Drat.create ())
+    | No_certificate | Classic_fallback _ -> None
+  in
   let obs = Obs.global () in
   let since = if Obs.enabled obs then Some (Obs.elapsed obs) else None in
-  (* The one place the bound oracle is picked.  The session is a fixed
-     one-hot ladder encoding without preprocessing, so a run that asks
-     for simplification or a non-default encoding arm goes to the classic
-     encoder, which honours them; [symmetry] applies to both. *)
-  let incremental =
-    options.Options.incremental
-    && { config with Config.symmetry = Config.default.Config.symmetry } = Config.default
-  in
-  (* Certification on the session proof-logs it from its first clause
-     and refutes the bound below the optimum on the same solver.  The
-     checker replays a plain CNF log: orbit-restricted formulas and
-     pool-solved queries (Pool.solve refuses proof-logging masters) go
-     to the classic fallback instead. *)
-  let sink =
-    match objective with
-    | (Depth | Swaps _)
-      when options.Options.certify && incremental && pool = None && not config.Config.symmetry ->
-      Some (Drat.create ())
-    | Depth | Swaps _ | Weighted_swaps _ | Tb_blocks | Tb_swaps -> None
-  in
   let outcome =
     Obs.with_span obs ("synthesis." ^ objective_name objective) (fun () ->
-        Optimizer.optimize ~config ~incremental ~budget ?pool
+        Optimizer.optimize ~config:plan.config ~oracle:plan.oracle ~budget ?pool
           ?proof:(Option.map Drat.logger sink) objective instance)
   in
-  let report = of_outcome outcome ~trace:Obs.empty_summary in
+  let stop = stop_of ~budget outcome in
   (* The check runs here, after [optimize] returned: the session's solver
      is garbage by now, so it and the checker's clause database are never
      alive together. *)
-  let proof_file = options.Options.proof_file in
-  let certificate =
-    match (options.Options.certify, sink) with
-    | false, _ -> None
-    | true, Some sink -> (
-      match (outcome.Optimizer.refutation, report.result) with
-      | Some r, Some res -> Some (Certificate.finish ?proof_file ~sink instance res r)
-      | Some _, None | None, _ -> None)
-    | true, None -> certificate_for ~config ~budget ~objective ~proof_file report instance
-  in
-  let trace = if Obs.enabled obs then Obs.summary ?since obs else Obs.empty_summary in
-  { report with trace; certificate }
+  let certificate = certify plan ~budget ~sink ~objective instance outcome in
+  {
+    result = outcome.Optimizer.result;
+    optimal = outcome.Optimizer.optimal;
+    iterations = outcome.Optimizer.iterations;
+    seconds = outcome.Optimizer.total_seconds;
+    pareto = outcome.Optimizer.pareto;
+    trace = (if Obs.enabled obs then Obs.summary ?since obs else Obs.empty_summary);
+    solver_stats = outcome.Optimizer.stats;
+    iter_stats = outcome.Optimizer.iter_stats;
+    certificate;
+    plan;
+    stop;
+  }
+
+(* ---- the run record ---- *)
+
+let oracle_name = function
+  | Session -> "session"
+  | Classic -> "classic"
+  | Transition_based -> "transition_based"
+
+let certification_name = function
+  | No_certificate -> "no_certificate"
+  | On_session -> "on_session"
+  | Classic_fallback _ -> "classic_fallback"
+
+let stop_name = function
+  | Optimal -> "optimal"
+  | Budget_spent _ -> "budget_spent"
+  | Interrupted -> "interrupted"
+  | No_solution -> "no_solution"
+
+let stop_to_string = function
+  | Budget_spent (Some bound) -> Printf.sprintf "budget_spent (last bound %d)" bound
+  | stop -> stop_name stop
+
+let pp_plan fmt p =
+  Format.fprintf fmt "@[<v>plan: oracle=%s config=%s symmetry=%b simplify=%b workers=%d%s@,"
+    (oracle_name p.oracle) (Config.name p.config) p.config.Config.symmetry p.config.Config.simplify
+    p.workers
+    (match p.cube_depth with Some k -> Printf.sprintf " cube_depth=%d" k | None -> "");
+  Format.fprintf fmt "certification: %s%s" (certification_name p.certification)
+    (match p.certification with
+    | Classic_fallback c -> " (" ^ Config.name c ^ ")"
+    | No_certificate | On_session -> "");
+  List.iter
+    (fun (field, reason) -> Format.fprintf fmt "@,override %s: %s" field reason)
+    p.overrides;
+  Format.fprintf fmt "@]"
+
+module Json = Obs.Json
+
+let num_int n = Json.Num (float_of_int n)
+let opt_json f = function None -> Json.Null | Some x -> f x
+let config_json config = Options.string_assoc_to_json (Config.to_assoc config)
+
+let plan_to_json p =
+  Json.Obj
+    [
+      ("config", config_json p.config);
+      ("oracle", Json.Str (oracle_name p.oracle));
+      ("workers", num_int p.workers);
+      ("cube_depth", opt_json num_int p.cube_depth);
+      ( "certification",
+        Json.Obj
+          (("kind", Json.Str (certification_name p.certification))
+          ::
+          (match p.certification with
+          | Classic_fallback c -> [ ("config", config_json c) ]
+          | No_certificate | On_session -> [])) );
+      ("proof_file", opt_json (fun f -> Json.Str f) p.proof_file);
+      ( "overrides",
+        Json.Arr
+          (List.map
+             (fun (field, reason) ->
+               Json.Obj [ ("field", Json.Str field); ("reason", Json.Str reason) ])
+             p.overrides) );
+    ]
+
+let stop_to_json stop =
+  Json.Obj
+    (("reason", Json.Str (stop_name stop))
+    ::
+    (match stop with
+    | Budget_spent bound -> [ ("last_bound", opt_json num_int bound) ]
+    | Optimal | Interrupted | No_solution -> []))
+
+let solver_stats_to_json (s : Olsq2_sat.Solver.stats) =
+  let open Olsq2_sat.Solver in
+  Json.Obj
+    [
+      ("conflicts", num_int s.conflicts);
+      ("decisions", num_int s.decisions);
+      ("propagations", num_int s.propagations);
+      ("restarts", num_int s.restarts);
+      ("learnt_clauses", num_int s.learnt_clauses);
+      ("removed_clauses", num_int s.removed_clauses);
+      ("solves", num_int s.solves);
+      ("solve_seconds", Json.Num s.solve_seconds);
+      ("propagate_seconds", Json.Num s.propagate_seconds);
+      ("analyze_seconds", Json.Num s.analyze_seconds);
+      ("reduce_seconds", Json.Num s.reduce_seconds);
+      ("restart_seconds", Json.Num s.restart_seconds);
+      ("vivify_seconds", Json.Num s.vivify_seconds);
+    ]
+
+let iter_stat_to_json (it : Optimizer.iter_stat) =
+  Json.Obj
+    [
+      ("phase", Json.Str it.Optimizer.iter_phase);
+      ("bound", num_int it.Optimizer.iter_bound);
+      ("verdict", Json.Str it.Optimizer.iter_verdict);
+      ("seconds", Json.Num it.Optimizer.iter_seconds);
+      ("conflicts", num_int it.Optimizer.iter_stats.Olsq2_sat.Solver.conflicts);
+      ("propagations", num_int it.Optimizer.iter_stats.Olsq2_sat.Solver.propagations);
+    ]
+
+let certificate_to_json (c : Certificate.t) =
+  Json.Obj
+    [
+      ("valid", Json.Bool (Certificate.valid c));
+      ("objective", Json.Str (Certificate.objective_to_string c.Certificate.objective));
+      ("optimum", num_int c.Certificate.optimum);
+      ( "formula",
+        Json.Str
+          (match c.Certificate.formula with
+          | Certificate.Session -> "session"
+          | Certificate.Classic _ -> "classic") );
+      ( "formula_config",
+        match c.Certificate.formula with
+        | Certificate.Session -> Json.Null
+        | Certificate.Classic config -> config_json config );
+      ("model_valid", Json.Bool c.Certificate.model_valid);
+      ( "lower_bound",
+        opt_json
+          (fun (lb : Certificate.lower_bound) ->
+            Json.Obj
+              [
+                ("bound", num_int lb.Certificate.bound);
+                ("accepted", Json.Bool lb.Certificate.accepted);
+                ("detail", Json.Str lb.Certificate.detail);
+                ( "lemmas_checked",
+                  opt_json
+                    (fun (pc : Certificate.proof_check) -> num_int pc.Certificate.lemmas_checked)
+                    lb.Certificate.check );
+              ])
+          c.Certificate.lower_bound );
+      ("seconds", Json.Num c.Certificate.seconds);
+    ]
+
+(* An enabled tracer always records at least the run's own span. *)
+let trace_to_json (s : Obs.summary) =
+  if s.Obs.events_recorded = 0 then Json.Null
+  else
+    Json.Obj
+      [
+        ("counters", Json.Obj (List.map (fun (k, v) -> (k, num_int v)) s.Obs.counters));
+        ( "spans",
+          Json.Obj
+            (List.map
+               (fun (k, (st : Obs.span_stat)) ->
+                 ( k,
+                   Json.Obj
+                     [
+                       ("calls", num_int st.Obs.calls);
+                       ("total_seconds", Json.Num st.Obs.total_seconds);
+                       ("max_seconds", Json.Num st.Obs.max_seconds);
+                     ] ))
+               s.Obs.span_stats) );
+      ]
+
+let report_to_json ~options ~objective r =
+  Json.Obj
+    [
+      ("objective", Json.Str (objective_name objective));
+      ("options", Options.to_json options);
+      ("plan", plan_to_json r.plan);
+      ("stop", stop_to_json r.stop);
+      ("optimal", Json.Bool r.optimal);
+      ("iterations", num_int r.iterations);
+      ("seconds", Json.Num r.seconds);
+      ("pareto", Json.Arr (List.map (fun (a, b) -> Json.Arr [ num_int a; num_int b ]) r.pareto));
+      ("iter_stats", Json.Arr (List.map iter_stat_to_json r.iter_stats));
+      ("solver_stats", solver_stats_to_json r.solver_stats);
+      ("certificate", opt_json certificate_to_json r.certificate);
+      ("trace", trace_to_json r.trace);
+      ( "env",
+        Json.Obj (List.map (fun (k, v) -> (k, opt_json (fun s -> Json.Str s) v)) Options.env) );
+    ]

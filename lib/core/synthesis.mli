@@ -1,10 +1,15 @@
 (** Unified synthesis facade: the one entry point over every optimization
     objective in the OLSQ2 stack (paper §III-B, §III-D).
 
-    [run] resolves an {!Options.t} into one {!Optimizer} run (bound
-    oracle, pool, SAT tuning), returns a single {!report} record, and
-    snapshots the global {!Olsq2_obs.Obs} tracer so callers get the trace
-    summary of exactly this run without touching the tracer themselves. *)
+    {!plan} decides everything a run does from its {!Options.t} (bound
+    oracle, effective encoding config, pool, certification path) and
+    lists every option it changed or ignored, with the reason.  {!run}
+    executes a plan as one {!Optimizer} run, returns a single {!report}
+    record carrying the plan and why the run stopped, and snapshots the
+    global {!Olsq2_obs.Obs} tracer so callers get the trace summary of
+    exactly this run without touching the tracer themselves.
+    {!report_to_json} is the run record the CLI's [--record] and the
+    serve daemon both emit. *)
 
 (** What to minimize.
 
@@ -22,35 +27,6 @@ type objective = Optimizer.objective =
   | Weighted_swaps of (int -> int)
   | Tb_blocks
   | Tb_swaps
-
-(** Outcome of a synthesis run, unified across full and transition-based
-    models.  For TB objectives, [result] holds the expanded concrete
-    schedule and [pareto] records [(blocks, swap_count)] of the accepted
-    block model; for full-model objectives [pareto] records
-    [(depth bound, best SWAPs proven at it)]: its head is the SWAP count
-    proven at the optimal depth. *)
-type report = {
-  result : Result_.t option;  (** best valid schedule found, if any *)
-  optimal : bool;  (** objective value proved optimal within budget *)
-  iterations : int;  (** total solver calls *)
-  seconds : float;  (** wall-clock spent in the engine *)
-  pareto : (int * int) list;
-  trace : Olsq2_obs.Obs.summary;
-      (** summary of trace events recorded during this run; empty when the
-          global tracer is disabled *)
-  solver_stats : Olsq2_sat.Solver.stats;
-      (** aggregate search effort across every bound iteration of the run
-          (conflicts, propagations, LBD / trail-depth histograms,
-          propagations/sec); collected whether or not the tracer is
-          enabled *)
-  iter_stats : Optimizer.iter_stat list;
-      (** per-bound-iteration effort records, oldest first *)
-  certificate : Certificate.t option;
-      (** optimality certificate, present only when [certify] was requested,
-          the run proved optimality, and the objective supports
-          certification ([Depth] and [Swaps]; weighted and TB objectives
-          have no direct CNF bound to refute) *)
-}
 
 (** How a synthesis run is configured.  An [Options.t] collects what used
     to be five independent optional labels (plus the new parallel knobs)
@@ -78,12 +54,12 @@ module Options : sig
   type parallel = { workers : int; cube_depth : int option }
 
   type t = {
-    config : Config.t;  (** encoding selection (default {!Config.default}) *)
-    simplify : bool option;
-        (** when [Some b], overrides [config]'s [simplify] flag:
-            SatELite-style CNF preprocessing + inprocessing of every
-            encoding built during the run (including the certification
-            fallback's encoder) — see {!Olsq2_simplify.Simplify} *)
+    config : Config.t;
+        (** encoding selection (default {!Config.default}); its [simplify]
+            flag turns on SatELite-style CNF preprocessing + inprocessing
+            of every encoding built during the run (including the
+            certification fallback's encoder) — see
+            {!Olsq2_simplify.Simplify} *)
     budget : Budget.t;
         (** resource allowance (wall seconds / conflicts / per-bound cap);
             the engine returns its best-so-far on exhaustion *)
@@ -93,10 +69,13 @@ module Options : sig
             no symmetry, the session is proof-logged from its first
             clause and the bound below the optimum is refuted on the
             same solver; other runs refute it on a fresh proof-logged
-            classic encoder under what is left of [budget].  The model
-            half validates the run's own result either way. *)
+            classic encoder under what is left of [budget] (the plan's
+            [certification] says which).  The model half validates the
+            run's own result either way.  Weighted and TB objectives
+            have no certificate. *)
     proof_file : string option;
-        (** write the emitted DRAT proof (text format) there *)
+        (** write the emitted DRAT proof (text format) there; ignored
+            when no certificate is built *)
     parallel : parallel;
     incremental : bool;
         (** solve [Depth] / [Swaps] / [Weighted_swaps] on one persistent
@@ -107,8 +86,9 @@ module Options : sig
             effective config asks for [simplify] or any
             formulation/encoding/injectivity/cardinality arm other than
             {!Config.default}'s solves on the classic encoder instead,
-            which honours them; [config.symmetry], budget and pool apply
-            to both.  TB objectives ignore this flag.  Certification
+            which honours them (the plan records the override);
+            [config.symmetry], budget and pool apply to both.  TB
+            objectives ignore this flag.  Certification
             refutes on the session itself unless symmetry or a pool is
             on (see [certify]).  This is the default: the session
             reaches the same optima as the re-encode loop at a fraction
@@ -152,7 +132,13 @@ module Options : sig
       blanks allowed.  The error names the variable and its value. *)
   val incremental_of_env : string -> (bool, string) result
 
+  (** The raw [OLSQ2_WORKERS] and [OLSQ2_INCREMENTAL] values (unset:
+      [None]) read when the library initialized {!default}. *)
+  val env : (string * string option) list
+
   val with_config : Config.t -> t -> t
+
+  (** [with_simplify b t] sets [t.config]'s [simplify] flag. *)
   val with_simplify : bool -> t -> t
   val with_budget : Budget.t -> t -> t
   val with_certify : ?proof_file:string -> bool -> t -> t
@@ -190,16 +176,112 @@ module Options : sig
 
   (** Inverse of {!to_assoc}: missing or [Null] keys take {!default}'s
       value (so partial wire requests stay valid); unknown keys (at top
-      level and inside [parallel]), type mismatches and unknown enum
-      values are an [Error] naming the key. *)
+      level and inside [config], [budget], [parallel] and [sat]), type
+      mismatches and unknown enum values are an [Error] naming the
+      key. *)
   val of_assoc : (string * Olsq2_obs.Obs.Json.json) list -> (t, string) result
 
   (** {!of_assoc} on a JSON object ([Error] on any other JSON). *)
   val of_json : Olsq2_obs.Obs.Json.json -> (t, string) result
 end
 
+(** {2 The plan} *)
+
+(** The bound oracle; see {!Optimizer.oracle}. *)
+type oracle = Optimizer.oracle = Session | Classic | Transition_based
+
+(** How a proved optimum is certified: not at all, on the proof-logged
+    session itself, or by the classic fallback's fresh proof-logged
+    re-solve in this configuration ({!Certificate.pure_sat_config} of
+    the run's). *)
+type certification = No_certificate | On_session | Classic_fallback of Config.t
+
+(** Everything a run does, decided up front. *)
+type plan = {
+  config : Config.t;
+      (** the effective encoding config (symmetry is off for weighted
+          SWAPs; TB objectives drop symmetry, simplify and the
+          formulation, which TB-OLSQ2 does not use) *)
+  oracle : oracle;
+  workers : int;  (** pool workers; 1 means no pool *)
+  cube_depth : int option;  (** [None] at [workers = 1] *)
+  certification : certification;
+  proof_file : string option;  (** [None] without a certificate *)
+  overrides : (string * string) list;
+      (** one [(option field, reason)] entry for every option this plan
+          changed or ignored, e.g. [("symmetry", "off for weighted
+          SWAPs: ...")] or [("incremental", "session replaced by the
+          classic encoder: simplify=true")] *)
+}
+
+(** [plan options objective instance] decides the run: pure, it builds
+    no solver and no pool. *)
+val plan : Options.t -> objective -> Instance.t -> plan
+
+(** {2 Running} *)
+
+(** Why a run stopped: it proved its objective optimal; its budget (wall,
+    conflict or per-bound cap) ran out, with the last bound it tried;
+    its budget's control was preempted; or it ended without a solution
+    and with budget left (e.g. TB-OLSQ2's block-count limit). *)
+type stop = Optimal | Budget_spent of int option | Interrupted | No_solution
+
+(** Outcome of a synthesis run, unified across full and transition-based
+    models.  For TB objectives, [result] holds the expanded concrete
+    schedule and [pareto] records [(blocks, swap_count)] of the accepted
+    block model; for full-model objectives [pareto] records
+    [(depth bound, best SWAPs proven at it)]: its head is the SWAP count
+    proven at the optimal depth. *)
+type report = {
+  result : Result_.t option;  (** best valid schedule found, if any *)
+  optimal : bool;  (** objective value proved optimal within budget *)
+  iterations : int;  (** total solver calls *)
+  seconds : float;  (** wall-clock spent in the engine *)
+  pareto : (int * int) list;
+  trace : Olsq2_obs.Obs.summary;
+      (** summary of trace events recorded during this run; empty when the
+          global tracer is disabled *)
+  solver_stats : Olsq2_sat.Solver.stats;
+      (** aggregate search effort across every bound iteration of the run
+          (conflicts, propagations, LBD / trail-depth histograms,
+          propagations/sec); collected whether or not the tracer is
+          enabled *)
+  iter_stats : Optimizer.iter_stat list;
+      (** per-bound-iteration effort records, oldest first *)
+  certificate : Certificate.t option;
+      (** optimality certificate, present only when the plan certifies
+          ([certify] on a [Depth] or [Swaps] objective) and the run
+          proved optimality *)
+  plan : plan;  (** what ran *)
+  stop : stop;  (** why it stopped *)
+}
+
 (** [run ?options ~objective instance] synthesizes a layout for
-    [instance] minimizing [objective] under [options] (default
-    {!Options.default}).  The whole run is wrapped in a
-    [synthesis.<objective>] span on the global tracer. *)
+    [instance] minimizing [objective]: it executes
+    [plan options objective instance] (default {!Options.default}).  The
+    whole run is wrapped in a [synthesis.<objective>] span on the global
+    tracer. *)
 val run : ?options:Options.t -> objective:objective -> Instance.t -> report
+
+(** {2 Reporting} *)
+
+(** The plan for humans: oracle, effective config, pool, certification
+    path, then one [override FIELD: REASON] line per override. *)
+val pp_plan : Format.formatter -> plan -> unit
+
+(** ["optimal"], ["budget_spent (last bound D)"], ["interrupted"] or
+    ["no_solution"]. *)
+val stop_to_string : stop -> string
+
+(** The run record: one JSON object with the objective, the options as
+    run, the plan and its overrides, [stop] ([{"reason": "optimal" |
+    "budget_spent" | "interrupted" | "no_solution"}], plus [last_bound]
+    for a spent budget), [optimal], [iterations], [seconds], [pareto],
+    the [iter_stats] timeline (phase, bound, verdict, seconds,
+    conflicts, propagations), the [solver_stats] totals, the
+    [certificate] (valid, objective, optimum, formula [session] or
+    [classic] with its config, lower-bound detail) or [null], the
+    [trace] counters and span totals or [null] when the tracer was off,
+    and the [env] values {!Options.env} read. *)
+val report_to_json :
+  options:Options.t -> objective:objective -> report -> Olsq2_obs.Obs.Json.json

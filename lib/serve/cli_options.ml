@@ -17,7 +17,6 @@ type common = {
   proof_file : string option;
   incremental : bool option;  (* None: Options.default (OLSQ2_INCREMENTAL or true) *)
   symmetry : bool option;
-  default_device : string option;
   sat : string list;  (* raw --sat KEY=VAL overrides, applied in order *)
 }
 
@@ -63,9 +62,9 @@ let simplify_arg =
   let on =
     let doc =
       "Preprocess every built CNF (SatELite-style subsumption + bounded variable elimination) and \
-       inprocess during long solves; proof logging stays checkable.  Exact method only (olsq2), \
-       which then runs on the classic encoder; with $(b,--metrics) the aggregate reduction is \
-       reported."
+       inprocess during long solves; proof logging stays checkable.  Sets the encoding config's \
+       simplify flag, as $(b,--symmetry) sets its symmetry flag.  Exact method only (olsq2), which \
+       then runs on the classic encoder; with $(b,--stats) the aggregate reduction is reported."
     in
     (Some true, Arg.info [ "simplify" ] ~doc)
   in
@@ -107,14 +106,6 @@ let symmetry_arg =
   in
   Arg.(value & vflag None [ on; off ])
 
-let default_device_arg =
-  let doc =
-    "Default target device by name (e.g. $(b,heavy-hex-127)); carried in the options record so \
-     serve requests without an explicit device resolve against it.  `olsq2 devices` lists names \
-     and accepted patterns."
-  in
-  Arg.(value & opt (some string) None & info [ "default-device" ] ~docv:"NAME" ~doc)
-
 (* Each occurrence is validated at parse time (unknown keys and
    out-of-range values are Cmdliner errors), kept as the raw string, and
    re-applied in order onto [Tuning.default] by [options]. *)
@@ -152,7 +143,7 @@ let proof_arg =
 
 let term =
   let make budget_seconds conflict_budget workers cube_depth config simplify certify
-      proof_file incremental symmetry default_device sat =
+      proof_file incremental symmetry sat =
     {
       budget_seconds;
       conflict_budget;
@@ -164,14 +155,13 @@ let term =
       proof_file;
       incremental;
       symmetry;
-      default_device;
       sat;
     }
   in
   Term.(
     const make $ budget_arg $ conflict_budget_arg $ workers_arg $ cube_depth_arg
     $ config_arg $ simplify_arg $ certify_arg $ proof_arg $ incremental_arg $ symmetry_arg
-    $ default_device_arg $ sat_arg)
+    $ sat_arg)
 
 let budget c =
   let b = Core.Budget.of_seconds_opt c.budget_seconds in
@@ -179,18 +169,18 @@ let budget c =
 
 let options c =
   let cfg =
-    match c.symmetry with
-    | Some s -> { c.config with Core.Config.symmetry = s }
-    | None -> c.config
+    {
+      c.config with
+      Core.Config.symmetry = Option.value c.symmetry ~default:c.config.Core.Config.symmetry;
+      simplify = Option.value c.simplify ~default:c.config.Core.Config.simplify;
+    }
   in
-  let b = budget c and simplify = c.simplify in
+  let b = budget c in
   let certify = c.certify and proof_file = c.proof_file in
   let workers = c.workers and cube_depth = c.cube_depth in
   let open Core.Synthesis.Options in
   let o = default |> with_config cfg |> with_budget b |> with_certify ?proof_file certify in
-  let o = match simplify with Some b -> with_simplify b o | None -> o in
   let o = match c.incremental with Some b -> with_incremental b o | None -> o in
-  let o = match c.default_device with Some d -> with_device d o | None -> o in
   let o =
     (* every item was validated by [sat_kv_conv], so this cannot fail *)
     match Olsq2_sat.Tuning.of_kv_strings c.sat with

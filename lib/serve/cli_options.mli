@@ -2,7 +2,7 @@
     [olsq2-serve] accept identical [-j] / [--simplify] /
     [--budget] / [--conflict-budget] / [--cube-depth] / [-c] /
     [--certify] / [--proof] / [--incremental] / [--symmetry] /
-    [--default-device] / [--sat] flags from one definition. *)
+    [--sat] flags from one definition. *)
 
 type common = {
   budget_seconds : float option;
@@ -13,6 +13,7 @@ type common = {
   cube_depth : int option;
   config : Olsq2_core.Config.t;
   simplify : bool option;
+      (** overrides [config.simplify] when set *)
   certify : bool;
   proof_file : string option;
   incremental : bool option;
@@ -20,8 +21,6 @@ type common = {
           (the [OLSQ2_INCREMENTAL] environment variable, or on) *)
   symmetry : bool option;
       (** overrides [config.symmetry] when set *)
-  default_device : string option;
-      (** named device carried into [Options.device] *)
   sat : string list;
       (** raw [--sat KEY=VAL] overrides (each validated at parse time),
           applied in order onto {!Olsq2_sat.Tuning.default} and carried

@@ -187,8 +187,8 @@ let parse_objective ~device j =
 (* ---- cache key ---- *)
 
 (* The key covers everything that can change the answer: the canonical
-   device and circuit, swap duration, objective, encoding config, and
-   the simplify override.  Budget, warm start and certification are
+   device and circuit, swap duration, objective and encoding config
+   (simplification included).  Budget, warm start and certification are
    deliberately excluded — they change how hard we try, not what the
    optimum is — and only proven-optimal results are ever stored. *)
 let cache_key ~dkey ~ckey ~swap_duration ~objective_tag (options : Synthesis.Options.t) =
@@ -197,8 +197,7 @@ let cache_key ~dkey ~ckey ~swap_duration ~objective_tag (options : Synthesis.Opt
     |> List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v)
     |> String.concat ","
   in
-  Printf.sprintf "%s|%s|sd=%d|obj=%s|cfg=%s|simp=%s" dkey ckey swap_duration objective_tag cfg
-    (match options.simplify with None -> "-" | Some b -> string_of_bool b)
+  Printf.sprintf "%s|%s|sd=%d|obj=%s|cfg=%s" dkey ckey swap_duration objective_tag cfg
 
 (* ---- request ---- *)
 
@@ -210,7 +209,11 @@ let parse ?(defaults = Synthesis.Options.default) body =
   let* options =
     match field "options" j with
     | None | Some Json.Null -> Ok defaults
-    | Some o -> Synthesis.Options.of_json o
+    | Some o -> (
+      (* the daemon never writes files at client-chosen paths *)
+      match field "proof_file" o with
+      | None | Some Json.Null -> Synthesis.Options.of_json o
+      | Some _ -> Error "options.proof_file: not accepted over the wire (the daemon writes no files)")
   in
   let* device =
     match (field "device" j, options.Synthesis.Options.device) with

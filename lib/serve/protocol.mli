@@ -21,8 +21,10 @@ type parsed = {
     carries no ["options"] object — the daemon passes its command-line
     configuration here.  A request without a top-level ["device"] field
     falls back to the parsed options' [device] name
-    ({!Olsq2_device.Devices.by_name}).  [Error] messages name the
-    offending field and are safe to echo back to the client. *)
+    ({!Olsq2_device.Devices.by_name}).  A non-null
+    [options.proof_file] is an [Error]: the daemon writes no files at
+    client-chosen paths.  [Error] messages name the offending field and
+    are safe to echo back to the client. *)
 val parse :
   ?defaults:Olsq2_core.Synthesis.Options.t -> string -> (parsed, string) result
 

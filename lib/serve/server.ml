@@ -167,29 +167,38 @@ let find_job t id =
 
 (* ---- running a request ---- *)
 
+(* A fresh solve answers with its run record ({!Synthesis.report_to_json})
+   under the daemon's own keys; a cache hit ran nothing, so it has no
+   record. *)
 let response_body ~job ~(p : Protocol.parsed) ~hit ~optimal ~iterations ~seconds ~queue_seconds
-    result =
-  Json.to_string
-    (Json.Obj
-       [
-         ("request_id", Json.Str job.id);
-         ("objective", Json.Str p.Protocol.objective_tag);
-         ("optimal", Json.Bool optimal);
-         ("preempted", Json.Bool (Budget.preempted job.control));
-         ("iterations", Json.Num (float_of_int iterations));
-         ("seconds", Json.Num seconds);
-         ("queue_seconds", Json.Num queue_seconds);
-         ( "cache",
-           Json.Obj
-             [
-               ("hit", Json.Bool hit);
-               ( "key",
-                 match p.Protocol.cache_key with
-                 | Some k -> Json.Str (Canonical.fingerprint k)
-                 | None -> Json.Null );
-             ] );
-         ("result", match result with Some r -> Protocol.result_to_json r | None -> Json.Null);
-       ])
+    ?(record = Json.Obj []) result =
+  let head =
+    [
+      ("request_id", Json.Str job.id);
+      ("objective", Json.Str p.Protocol.objective_tag);
+      ("optimal", Json.Bool optimal);
+      ("preempted", Json.Bool (Budget.preempted job.control));
+      ("iterations", Json.Num (float_of_int iterations));
+      ("seconds", Json.Num seconds);
+      ("queue_seconds", Json.Num queue_seconds);
+      ( "cache",
+        Json.Obj
+          [
+            ("hit", Json.Bool hit);
+            ( "key",
+              match p.Protocol.cache_key with
+              | Some k -> Json.Str (Canonical.fingerprint k)
+              | None -> Json.Null );
+          ] );
+      ("result", match result with Some r -> Protocol.result_to_json r | None -> Json.Null);
+    ]
+  in
+  let rest =
+    match record with
+    | Json.Obj kvs -> List.filter (fun (k, _) -> not (List.mem_assoc k head)) kvs
+    | _ -> []
+  in
+  Json.to_string (Json.Obj (head @ rest))
 
 (* How many events a stored per-job trace keeps (the SAT solver records
    one span per solve, so even deep bound refinements stay well under
@@ -279,7 +288,9 @@ let run_job t job (p : Protocol.parsed) =
         ( 200,
           response_body ~job ~p ~hit:false ~optimal:report.Synthesis.optimal
             ~iterations:report.Synthesis.iterations ~seconds:report.Synthesis.seconds
-            ~queue_seconds report.Synthesis.result )
+            ~queue_seconds
+            ~record:(Synthesis.report_to_json ~options ~objective:p.Protocol.objective report)
+            report.Synthesis.result )
       | exception exn ->
         Atomic.incr t.failures;
         log t "job %s: failed: %s" job.id (Printexc.to_string exn);

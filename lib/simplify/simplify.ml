@@ -91,59 +91,17 @@ let reduction_summary r =
 
 let pp_report fmt r = Format.pp_print_string fmt (reduction_summary r)
 
-(* Process-wide accumulator for the CLI's [--metrics] summary: the serve
-   daemon's concurrent jobs preprocess in their own domains, so plain
-   refs would race. *)
-let t_runs = Atomic.make 0
-let t_clauses_before = Atomic.make 0
-let t_clauses_after = Atomic.make 0
-let t_eliminated = Atomic.make 0
-let t_subsumed = Atomic.make 0
-let t_strengthened = Atomic.make 0
-
-type totals = {
-  runs : int;
-  total_clauses_before : int;
-  total_clauses_after : int;
-  total_eliminated : int;
-  total_subsumed : int;
-  total_strengthened : int;
-}
-
-let totals () =
-  {
-    runs = Atomic.get t_runs;
-    total_clauses_before = Atomic.get t_clauses_before;
-    total_clauses_after = Atomic.get t_clauses_after;
-    total_eliminated = Atomic.get t_eliminated;
-    total_subsumed = Atomic.get t_subsumed;
-    total_strengthened = Atomic.get t_strengthened;
-  }
-
-let reset_totals () =
-  List.iter
-    (fun a -> Atomic.set a 0)
-    [ t_runs; t_clauses_before; t_clauses_after; t_eliminated; t_subsumed; t_strengthened ]
-
-let record_totals r =
-  Atomic.incr t_runs;
-  let add a n = ignore (Atomic.fetch_and_add a n) in
-  add t_clauses_before r.clauses_before;
-  add t_clauses_after r.clauses_after;
-  add t_eliminated r.eliminated;
-  add t_subsumed r.subsumed;
-  add t_strengthened r.strengthened
-
-let totals_summary () =
-  let t = totals () in
-  if t.runs = 0 then "no simplification runs"
-  else
-    Printf.sprintf "%d run%s  clauses %d -> %d (-%.1f%%)  eliminated %d  subsumed %d  strengthened %d"
-      t.runs
-      (if t.runs = 1 then "" else "s")
-      t.total_clauses_before t.total_clauses_after
-      (pct_reduction t.total_clauses_before t.total_clauses_after)
-      t.total_eliminated t.total_subsumed t.total_strengthened
+(* The reduction the [simplify.*] counters of a traced run add up to. *)
+let counters_summary (s : Obs.summary) =
+  let count k = Option.value (List.assoc_opt k s.Obs.counters) ~default:0 in
+  match count "simplify.runs" with
+  | 0 -> "simplify: no simplification runs"
+  | runs ->
+    let before = count "simplify.clauses_before" in
+    let after = before - count "simplify.clauses_removed" in
+    Printf.sprintf "simplify: %d run%s  clauses %d -> %d (-%.1f%%)  eliminated %d" runs
+      (if runs = 1 then "" else "s")
+      before after (pct_reduction before after) (count "simplify.vars_eliminated")
 
 (* ---- the clause store ---- *)
 
@@ -559,7 +517,6 @@ let preprocess ?(opts = default_options) solver =
         rounds = !rounds;
       }
     in
-    record_totals report;
     (match sp with
     | Some sp ->
       Obs.end_span obs sp
@@ -574,6 +531,7 @@ let preprocess ?(opts = default_options) solver =
             ("rounds", Obs.Int report.rounds);
           ];
       Obs.count obs "simplify.runs" 1;
+      Obs.count obs "simplify.clauses_before" report.clauses_before;
       Obs.count obs "simplify.clauses_removed" (max 0 (report.clauses_before - report.clauses_after));
       Obs.count obs "simplify.vars_eliminated" report.eliminated
     | None -> ());

@@ -64,7 +64,9 @@ val pp_report : Format.formatter -> report -> unit
     bounded fixpoint and re-arms the solver.  Safe to call on a solver
     that is already root-level UNSAT (returns {!empty_report}).  When the
     global {!Olsq2_obs.Obs} tracer is enabled, records one
-    ["simplify.run"] span plus [simplify.*] counters. *)
+    ["simplify.run"] span plus the [simplify.runs],
+    [simplify.clauses_before], [simplify.clauses_removed] and
+    [simplify.vars_eliminated] counters. *)
 val preprocess : ?opts:options -> Olsq2_sat.Solver.t -> report
 
 (** Install {!preprocess} as the solver's inprocessor: it reruns between
@@ -74,20 +76,8 @@ val preprocess : ?opts:options -> Olsq2_sat.Solver.t -> report
     the refreshed clause database. *)
 val attach_inprocessing : ?opts:options -> ?interval:int -> Olsq2_sat.Solver.t -> unit
 
-(** Process-wide accumulation across runs (atomic, so concurrent serve
-    jobs in other domains are counted), for the CLI's [--metrics] summary. *)
-type totals = {
-  runs : int;
-  total_clauses_before : int;
-  total_clauses_after : int;
-  total_eliminated : int;
-  total_subsumed : int;
-  total_strengthened : int;
-}
-
-val totals : unit -> totals
-val reset_totals : unit -> unit
-
-(** One-line rendering of {!totals}; ["no simplification runs"] when none
-    ran. *)
-val totals_summary : unit -> string
+(** One-line rendering of the [simplify.*] counters in a trace summary
+    (runs, clauses before and after, variables eliminated), e.g.
+    ["simplify: 1 run  clauses 1200 -> 800 (-33.3%)  eliminated 50"];
+    ["simplify: no simplification runs"] when none ran. *)
+val counters_summary : Olsq2_obs.Obs.summary -> string

@@ -610,12 +610,17 @@ let session_requested = Synthesis.Options.(default |> with_incremental true)
 
 let test_simplify_routes_to_encoder () =
   let inst = facade_instance () in
-  Olsq2_simplify.Simplify.reset_totals ();
-  let options = Synthesis.Options.with_simplify true session_requested in
-  let r = Synthesis.run ~options ~objective:Synthesis.Depth inst in
-  Alcotest.(check bool) "solved" true (r.Synthesis.optimal && r.Synthesis.result <> None);
-  Alcotest.(check bool) "simplification ran" true
-    ((Olsq2_simplify.Simplify.totals ()).Olsq2_simplify.Simplify.runs > 0)
+  with_global_tracer (fun _ ->
+      let options = Synthesis.Options.with_simplify true session_requested in
+      let r = Synthesis.run ~options ~objective:Synthesis.Depth inst in
+      Alcotest.(check bool) "solved" true (r.Synthesis.optimal && r.Synthesis.result <> None);
+      let count k = Option.value (List.assoc_opt k r.Synthesis.trace.Obs.counters) ~default:0 in
+      Alcotest.(check bool) "simplification ran" true (count "simplify.runs" > 0);
+      Alcotest.(check bool) "clauses before counted" true
+        (count "simplify.clauses_before" >= count "simplify.clauses_removed"
+        && count "simplify.clauses_before" > 0);
+      Alcotest.(check bool) "the plan says the classic encoder ran" true
+        (r.Synthesis.plan.Synthesis.oracle = Synthesis.Classic))
 
 let test_config_arm_routes_to_encoder () =
   let inst = facade_instance () in

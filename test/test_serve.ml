@@ -45,7 +45,7 @@ let configs =
 let options_gen =
   Q.Gen.(
     let* config = oneofl configs in
-    let* simplify = oneofl [ None; Some true; Some false ] in
+    let* simplify = bool in
     let* wall = oneofl [ None; Some 1.5; Some 60. ] in
     let* conflicts = oneofl [ None; Some 1000 ] in
     let* per_bound = oneofl [ None; Some 0.25 ] in
@@ -72,8 +72,7 @@ let options_gen =
     in
     return
       {
-        Options.config;
-        simplify;
+        Options.config = { config with Core.Config.simplify };
         budget =
           {
             Budget.wall_seconds = wall;
@@ -126,7 +125,10 @@ let test_options_bad () =
   bad {|{"sat":{"var_decay":0.1}}|};
   bad {|{"sat":{"chrono":64}}|};
   bad {|{"parallel":{"share":true}}|};
-  bad {|{"certfy":true}|}
+  bad {|{"certfy":true}|};
+  bad {|{"simplify":true}|};
+  bad {|{"config":{"symetry":true}}|};
+  bad {|{"budget":{"wall_second":5}}|}
 
 (* A request with no top-level "device" falls back to options.device, the
    same field the daemon's --default-device flag fills. *)
@@ -283,6 +285,7 @@ let test_preempt_before_start () =
   let t0 = Unix.gettimeofday () in
   let report = Synthesis.run ~options ~objective:Synthesis.Depth instance in
   checkb "not optimal when preempted up front" false report.Synthesis.optimal;
+  checkb "stop says interrupted" true (report.Synthesis.stop = Synthesis.Interrupted);
   checkb "returns promptly" true (Unix.gettimeofday () -. t0 < 30.)
 
 let test_preempt_mid_run () =
@@ -298,7 +301,9 @@ let test_preempt_mid_run () =
   Unix.sleepf 0.3;
   Budget.preempt ctl;
   let t0 = Unix.gettimeofday () in
-  let _report = Domain.join worker in
+  let report = Domain.join worker in
+  checkb "an unproved run says it was interrupted" true
+    (report.Synthesis.optimal || report.Synthesis.stop = Synthesis.Interrupted);
   (* the interrupt must cut the solve short; allow slack for this box *)
   checkb "join after preempt is prompt" true (Unix.gettimeofday () -. t0 < 30.)
 
@@ -601,7 +606,34 @@ let test_async_jobs () =
           ({|{"parallel":{"share":false}}|}, "share");
           ({|{"certfy":true}|}, "certfy");
           ({|{"sat":{"chrono":64}}|}, "chrono");
+          ({|{"simplify":true}|}, "simplify");
+          ({|{"config":{"symetry":true}}|}, "symetry");
+          ({|{"budget":{"wall_second":5}}|}, "wall_second");
+          (* the daemon writes no files at client-chosen paths *)
+          ({|{"certify":true,"proof_file":"/tmp/olsq2_wire.drat"}|}, "proof_file");
         ])
+
+(* A certified fresh solve answers with the certificate it computed, and
+   the run record says the certificate covers the session that found
+   the optimum. *)
+let test_certified_response () =
+  with_server ~pool:1 ~handlers:1 (fun _server port ->
+      let status, body =
+        post port "/synthesize"
+          {|{"circuit":"qaoa:4","device":"grid-2x2","options":{"certify":true,"incremental":true,"parallel":{"workers":1}}}|}
+      in
+      check Alcotest.int "certified status" 200 status;
+      let j = parse_json body in
+      checkb "optimal" true (member "optimal" j = Json.Bool true);
+      let cert = member "certificate" j in
+      checkb "certificate valid" true (member "valid" cert = Json.Bool true);
+      checkb "certificate formula is the session" true (member "formula" cert = Json.Str "session");
+      checkb "plan certifies on the session" true
+        (member "kind" (member "certification" (member "plan" j)) = Json.Str "on_session");
+      checkb "stop is optimal" true (member "reason" (member "stop" j) = Json.Str "optimal");
+      List.iter
+        (fun key -> checkb ("keeps " ^ key) true (Json.member key j <> None))
+        [ "request_id"; "objective"; "preempted"; "iterations"; "seconds"; "queue_seconds"; "cache"; "result" ])
 
 (* ---- request-scoped tracing and observability endpoints ---- *)
 
@@ -750,6 +782,7 @@ let suite =
         Alcotest.test_case "preempt mid-run" `Slow test_preempt_mid_run;
         Alcotest.test_case "end-to-end concurrent load" `Slow test_end_to_end;
         Alcotest.test_case "async jobs" `Slow test_async_jobs;
+        Alcotest.test_case "certified response" `Slow test_certified_response;
         Alcotest.test_case "request tracing + obs endpoints" `Slow test_request_tracing;
         Alcotest.test_case "server honors wall budget" `Slow test_server_budget;
       ] );
