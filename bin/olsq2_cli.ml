@@ -222,10 +222,13 @@ let run_synth circuit_spec device_name (common : Cli_options.common) swap_durati
       | `Tb, (blocks, _) :: _ -> Printf.printf "blocks used: %d\n" blocks
       | _ -> ());
       if stats then begin
-        Format.eprintf "@[<v>%a@,stop: %s@]@." Core.Synthesis.pp_plan r.Core.Synthesis.plan
-          (Core.Synthesis.stop_to_string r.Core.Synthesis.stop);
+        Format.eprintf "@[<v>%a@,stop: %s@,window outcome: %s@]@." Core.Synthesis.pp_plan
+          r.Core.Synthesis.plan
+          (Core.Synthesis.stop_to_string r.Core.Synthesis.stop)
+          (Core.Synthesis.window_to_string r.Core.Synthesis.window);
         print_stats_block ~label:"run" r.Core.Synthesis.solver_stats r.Core.Synthesis.iter_stats
       end;
+      Option.iter (Printf.eprintf "%s\n%!") (Core.Synthesis.proof_note r);
       let code = finish ?certificate:r.Core.Synthesis.certificate r.Core.Synthesis.result in
       Option.iter
         (fun path ->

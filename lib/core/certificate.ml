@@ -11,7 +11,7 @@ module Stopwatch = Olsq2_util.Stopwatch
 
 type objective = Depth | Swaps_at_depth of int
 
-type formula = Session | Classic of Config.t
+type formula = Session | Classic of Config.t | Chain
 
 type proof_check = {
   mode : Checker.mode;
@@ -53,6 +53,7 @@ let objective_to_string = function
 let formula_to_string = function
   | Session -> "horizon-extension session"
   | Classic config -> "classic " ^ Config.name config
+  | Chain -> "dependency-chain lower bound"
 
 (* ---- the refutation half ---- *)
 
@@ -150,6 +151,12 @@ let refute objective ~optimum ~formula make_oracle =
 
 (* ---- the check half ---- *)
 
+(* The model is no worse than the claimed optimum. *)
+let within (model : Result_.t) objective ~optimum =
+  match objective with
+  | Depth -> model.Result_.depth <= optimum
+  | Swaps_at_depth d -> model.Result_.depth <= d && model.Result_.swap_count <= optimum
+
 (* Run the trusted checker on the sink's contents; the goal clause is the
    negated assumption core (empty core = the database itself is unsat,
    where the goal degenerates to the empty clause).  The checker takes
@@ -224,11 +231,6 @@ let finish ?(mode = Checker.Backward) ?proof_file ~sink instance (model : Result
   @@ fun () ->
   (match proof_file with None -> () | Some path -> write_proof_file path sink);
   let violations = Validate.check instance model in
-  let within =
-    match r.r_objective with
-    | Depth -> model.Result_.depth <= r.r_optimum
-    | Swaps_at_depth d -> model.Result_.depth <= d && model.Result_.swap_count <= r.r_optimum
-  in
   let lower_bound =
     match r.r_attempt with
     | Trivial -> None
@@ -241,7 +243,7 @@ let finish ?(mode = Checker.Backward) ?proof_file ~sink instance (model : Result
       optimum = r.r_optimum;
       formula = r.r_formula;
       model;
-      model_valid = violations = [] && within;
+      model_valid = violations = [] && within model r.r_objective ~optimum:r.r_optimum;
       violations;
       lower_bound;
       provenance = r.r_provenance;
@@ -311,6 +313,69 @@ let certify_swaps ?(config = Config.default) ?budget ?mode ?proof_file instance 
   if swaps < 0 then invalid_arg "Certificate.certify_swaps: negative swap count";
   classic ~config ~budget ~mode ~proof_file instance model (Swaps_at_depth depth) ~depth
     ~optimum:swaps
+
+(* ---- the dependency-chain bound ---- *)
+
+(* Trusted: the longest gate-dependency chain from the gate list alone.
+   A gate's level is one more than the highest level of the previous
+   gate on any of its qubits, so a chain of [n] levels is [n] gates that
+   must run at [n] increasing time steps. *)
+let dependency_chain (circuit : Olsq2_circuit.Circuit.t) =
+  let last = Array.make circuit.Olsq2_circuit.Circuit.num_qubits 0 in
+  Array.fold_left
+    (fun longest g ->
+      let qubits = Olsq2_circuit.Gate.qubits g in
+      let level = 1 + List.fold_left (fun m q -> max m last.(q)) 0 qubits in
+      List.iter (fun q -> last.(q) <- level) qubits;
+      max longest level)
+    0 circuit.Olsq2_circuit.Circuit.gates
+
+let chain instance (model : Result_.t) objective ~optimum =
+  let clock = Stopwatch.start () in
+  build_span ~stage:"chain" ~objective ~optimum ~formula:Chain @@ fun () ->
+  let violations = Validate.check instance model in
+  let lower_bound =
+    match objective with
+    | Depth when optimum <= 1 -> None
+    | Swaps_at_depth _ when optimum = 0 -> None
+    | Depth ->
+      let longest = dependency_chain instance.Instance.circuit in
+      let accepted = longest >= optimum in
+      Some
+        {
+          bound = optimum - 1;
+          core_size = 0;
+          check = None;
+          accepted;
+          detail =
+            Printf.sprintf "longest dependency chain is %d gates: %s" longest
+              (if accepted then Printf.sprintf "no schedule is shorter than %d steps" optimum
+               else Printf.sprintf "it does not rule out depth %d" (optimum - 1));
+        }
+    | Swaps_at_depth _ ->
+      Some
+        {
+          bound = optimum - 1;
+          core_size = 0;
+          check = None;
+          accepted = false;
+          detail = "a dependency chain bounds depth, not SWAPs";
+        }
+  in
+  let cert =
+    {
+      objective;
+      optimum;
+      formula = Chain;
+      model;
+      model_valid = violations = [] && within model objective ~optimum;
+      violations;
+      lower_bound;
+      provenance = [];
+      seconds = Stopwatch.elapsed clock;
+    }
+  in
+  (cert, [ ("valid", Obs.Bool (valid cert)) ])
 
 let to_string t =
   let buf = Buffer.create 256 in

@@ -50,7 +50,9 @@ type proof_check = {
 type lower_bound = {
   bound : int;  (** the refuted bound *)
   core_size : int;  (** failed bound assumptions in the final conflict *)
-  check : proof_check option;  (** [None] when the refutation did not complete *)
+  check : proof_check option;
+      (** [None] when the refutation did not complete, or when no proof
+          is needed (the [Chain] bound) *)
   accepted : bool;  (** checker accepted the proof *)
   detail : string;
 }
@@ -59,6 +61,9 @@ type lower_bound = {
 type formula =
   | Session  (** the run's own horizon-extension session *)
   | Classic of Config.t  (** a fresh classic encoder in this configuration *)
+  | Chain
+      (** no formula: the circuit's longest dependency chain
+          ({!dependency_chain}), for answers that meet it *)
 
 type t = {
   objective : objective;
@@ -164,3 +169,25 @@ val certify_swaps :
   depth:int ->
   swaps:int ->
   t
+
+(** {2 The dependency-chain bound}
+
+    An answer found on a device window ({!Window}) at the depth lower
+    bound was never refuted on the device, and its window refutations
+    certify only the window.  Its certificate rests on the circuit
+    alone: every gate on a dependency chain runs at its own, later time
+    step, so no schedule is shorter than the chain. *)
+
+(** The longest gate-dependency chain of [circuit], in gates: a
+    per-qubit scan of [circuit.gates] that trusts neither
+    {!Olsq2_circuit.Dag} nor {!Instance}. *)
+val dependency_chain : Olsq2_circuit.Circuit.t -> int
+
+(** [chain instance model objective ~optimum] certifies [model] with
+    formula [Chain]: it is validated on [instance] (the full device) and
+    must be within [optimum].  For [Depth] the lower bound is accepted
+    when {!dependency_chain} is at least [optimum] ([optimum <= 1] is
+    trivial); a 0-SWAP claim is trivial; a positive SWAP claim has no
+    chain bound and is not accepted.  Runs inside a [certificate.build]
+    span. *)
+val chain : Instance.t -> Result_.t -> objective -> optimum:int -> t

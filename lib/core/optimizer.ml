@@ -222,6 +222,8 @@ let charged_solve run solver ~pool_capable ?(extra = []) direct assumptions =
 
 (* ---- bound oracles ---- *)
 
+type oracle = Session | Classic | Transition_based
+
 (* What the refinement loops need from an encoding of the full
    (gate-time-resolved) model.  [ensure_horizon d] makes depth bound [d]
    fully expressive, so an UNSAT verdict at [d] is final.  SWAPs may
@@ -387,29 +389,36 @@ let minimize_depth run o ~t_lb =
       | Solver.Unknown _ -> None
       | Solver.Unsat -> ascend (o.next_bound d)
   in
-  (* descent: tighten by 1 until UNSAT; [d] is known SAT *)
+  (* descent: tighten by 1 until UNSAT; [d] is known SAT.  The third
+     component says whether the last query was that SAT one, so the
+     solver still holds its model. *)
   let rec descend_depth d =
-    if d - 1 < t_lb then (d, true)
-    else if Budget.exhausted run.st then (d, false)
+    if d - 1 < t_lb then (d, true, true)
+    else if Budget.exhausted run.st then (d, false, true)
     else
       match check (d - 1) with
       | Solver.Sat -> descend_depth (d - 1)
-      | Solver.Unsat -> (d, true)
-      | Solver.Unknown _ -> (d, false)
+      | Solver.Unsat -> (d, true, false)
+      | Solver.Unknown _ -> (d, false, false)
+  in
+  let found d optimal =
+    let result = capture run o optimal in
+    pareto_point ~depth:d ~swaps:result.Result_.swap_count;
+    Some (d, optimal, result)
   in
   match ascend t_lb with
   | None -> None
   | Some d_first -> (
-    let d, optimal = descend_depth d_first in
-    (* re-solve at the chosen bound so the solver holds its model *)
-    match check d with
-    | Solver.Sat ->
-      let result = capture run o optimal in
-      pareto_point ~depth:d ~swaps:result.Result_.swap_count;
-      Some (d, optimal, result)
-    | Solver.Unsat | Solver.Unknown _ ->
-      (* unreachable in practice: the same bound was SAT moments ago *)
-      None)
+    match descend_depth d_first with
+    | d, optimal, true -> found d optimal
+    | d, optimal, false -> (
+      (* a later query (the lazy-int arm's CEGAR loop, say) may have
+         replaced the model: re-solve at the chosen bound *)
+      match check d with
+      | Solver.Sat -> found d optimal
+      | Solver.Unsat | Solver.Unknown _ ->
+        (* unreachable in practice: the same bound was SAT moments ago *)
+        None))
 
 (* ---- SWAP optimization (iterative refinement, §III-B-2) ---- *)
 
@@ -638,10 +647,18 @@ let refute_on o objective (out : outcome) =
       { out with refutation = Some refutation })
   | Some _ | None -> out
 
-type oracle = Session | Classic | Transition_based
+let new_run ~budget pool =
+  {
+    st = budget;
+    pool;
+    clock = Stopwatch.start ();
+    iterations = 0;
+    iters = [];
+    agg = Solver.stats_zero ();
+  }
 
-let optimize ~config ~oracle ~budget ?pool ?proof objective instance =
-  (match (oracle, objective) with
+let check_objective ~config ~oracle objective =
+  match (oracle, objective) with
   | (Session | Classic), (Depth | Swaps _) | Transition_based, (Tb_blocks | Tb_swaps) -> ()
   | (Session | Classic), Weighted_swaps _ ->
     (* orbit symmetry breaking is unsound under per-edge weights: distinct
@@ -650,26 +667,24 @@ let optimize ~config ~oracle ~budget ?pool ?proof objective instance =
       invalid_arg "Optimizer.optimize: symmetry breaking is unsound for weighted SWAPs"
   | Transition_based, (Depth | Swaps _ | Weighted_swaps _)
   | (Session | Classic), (Tb_blocks | Tb_swaps) ->
-    invalid_arg "Optimizer.optimize: TB objectives take the transition-based oracle, and only they");
+    invalid_arg "Optimizer.optimize: TB objectives take the transition-based oracle, and only they"
+
+let depth_floor instance = max 1 (Instance.depth_lower_bound instance)
+
+let bounds ?proof run ~config ~oracle instance =
+  let t_lb = depth_floor instance in
+  let t_max = max (t_lb + 1) (Instance.depth_upper_bound instance) in
+  match oracle with
+  | Session -> session_oracle ?proof run ~config instance ~t_max
+  | Classic | Transition_based -> encoder_oracle run ~config instance ~t_max
+
+let optimize ~config ~oracle ~budget ?pool ?proof objective instance =
+  check_objective ~config ~oracle objective;
   if proof <> None && (oracle <> Session || pool <> None) then
     invalid_arg "Optimizer.optimize: proof logging needs the session oracle and no pool";
-  let run =
-    {
-      st = budget;
-      pool;
-      clock = Stopwatch.start ();
-      iterations = 0;
-      iters = [];
-      agg = Solver.stats_zero ();
-    }
-  in
-  let t_lb = max 1 (Instance.depth_lower_bound instance) in
-  let bounds () =
-    let t_max = max (t_lb + 1) (Instance.depth_upper_bound instance) in
-    match oracle with
-    | Session -> session_oracle ?proof run ~config instance ~t_max
-    | Classic | Transition_based -> encoder_oracle run ~config instance ~t_max
-  in
+  let run = new_run ~budget pool in
+  let t_lb = depth_floor instance in
+  let bounds () = bounds ?proof run ~config ~oracle instance in
   let certify o out = match proof with Some _ -> refute_on o objective out | None -> out in
   match objective with
   | Depth ->
@@ -687,3 +702,38 @@ let optimize ~config ~oracle ~budget ?pool ?proof objective instance =
   | Weighted_swaps weights -> minimize_weighted_swaps run (bounds ()) ~t_lb ~weights
   | Tb_blocks -> minimize_tb_blocks run ~config instance
   | Tb_swaps -> minimize_tb_swaps run ~config instance
+
+(* One query at the depth lower bound, at SWAP cost 0 for the SWAP
+   objectives: both are lower bounds on every device, so a model is
+   optimal here and on any device that holds this one as a connected
+   subgraph.  It neither ascends nor descends: UNSAT or unknown returns
+   no result. *)
+let at_lower_bound ~config ~oracle ~budget ?pool objective instance =
+  check_objective ~config ~oracle objective;
+  if oracle = Transition_based then
+    invalid_arg "Optimizer.at_lower_bound: TB objectives have no depth bound";
+  let run = new_run ~budget pool in
+  let t_lb = depth_floor instance in
+  let o = bounds run ~config ~oracle instance in
+  o.ensure_horizon t_lb;
+  let sel = o.depth_selector t_lb in
+  let zero_cost () = sel :: Option.to_list (o.swap_bound_assumption 0) in
+  let assumptions, cost =
+    match objective with
+    | Depth | Tb_blocks | Tb_swaps -> ([ sel ], o.model_swap_count)
+    | Swaps _ ->
+      o.build_counter ~max_bound:1;
+      (zero_cost (), o.model_swap_count)
+    | Weighted_swaps weights ->
+      o.build_weighted_counter ~weights ~max_bound:1;
+      (zero_cost (), fun () -> o.model_weighted_cost ~weights)
+  in
+  match
+    iter_span run "opt.window_iter" ~bound:t_lb ~core:(o.solver ()) (fun () -> o.solve assumptions)
+  with
+  | Solver.Sat ->
+    let result = capture run o true in
+    let cost = cost () in
+    pareto_point ~depth:t_lb ~swaps:cost;
+    outcome run ~result ~optimal:true [ (t_lb, cost) ]
+  | Solver.Unsat | Solver.Unknown _ -> outcome run ~optimal:false []

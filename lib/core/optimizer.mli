@@ -107,3 +107,25 @@ val optimize :
   objective ->
   Instance.t ->
   outcome
+
+(** The smallest depth a schedule can have: [Instance.depth_lower_bound]
+    (the longest dependency chain), and at least 1, since a schedule of
+    a circuit with no gates still has one time step. *)
+val depth_floor : Instance.t -> int
+
+(** [at_lower_bound ~config ~oracle ~budget ?pool objective instance]
+    asks one bound query: depth {!depth_floor} and, for [Swaps] and [Weighted_swaps], SWAP count or
+    weight 0.  Both are lower bounds on every device, so a model is
+    returned as optimal; an UNSAT or unknown verdict returns no result,
+    without ascending or descending.  The query is recorded as an
+    [opt.window_iter] iteration.  This is the device-window attempt of
+    {!Synthesis.run}.  [Invalid_argument] on the TB objectives and on
+    the oracle/objective mismatches {!optimize} rejects. *)
+val at_lower_bound :
+  config:Config.t ->
+  oracle:oracle ->
+  budget:Budget.state ->
+  ?pool:Olsq2_parallel.Pool.t ->
+  objective ->
+  Instance.t ->
+  outcome

@@ -21,6 +21,33 @@ type t = {
 
 let initial_mapping t = if Array.length t.mapping = 0 then [||] else t.mapping.(0)
 
+(* Relabel a result's qubits: program qubit [q] becomes [program.(q)]
+   (default: unchanged) and physical qubit [p] becomes [physical.(p)]:
+     mapping'.(t).(program q) = physical.(mapping.(t).(q))
+   The schedule is indexed by gate id, which relabelling preserves, so it
+   transfers unchanged; SWAP edges map endpoint-wise and re-normalize.
+   The serve cache's canonical relabelling and the device window's
+   vertex map both go through here. *)
+let map_physical ?program ~physical t =
+  let program = match program with Some m -> Array.get m | None -> Fun.id in
+  let mapping =
+    Array.map
+      (fun row ->
+        let row' = Array.make (Array.length row) (-1) in
+        Array.iteri (fun q p -> row'.(program q) <- physical.(p)) row;
+        row')
+      t.mapping
+  in
+  let swaps =
+    List.map
+      (fun s ->
+        let a, b = s.sw_edge in
+        let a = physical.(a) and b = physical.(b) in
+        { s with sw_edge = (if a < b then (a, b) else (b, a)) })
+      t.swaps
+  in
+  { t with mapping; swaps }
+
 (* Uniform cost summary shared by every synthesis arm (exact, heuristic,
    SATMap-style): the evaluation harness reads costs from here instead of
    re-deriving them from routed circuits, and arms that can fail

@@ -23,6 +23,12 @@ type t = {
 
 val initial_mapping : t -> int array
 
+(** [map_physical ?program ~physical r] relabels [r]'s qubits: physical
+    qubit [p] becomes [physical.(p)] (in the mapping and on SWAP edges,
+    which are re-normalized), and program qubit [q] becomes
+    [program.(q)] (default: unchanged).  The schedule is unchanged. *)
+val map_physical : ?program:int array -> physical:int array -> t -> t
+
 (** Uniform cost summary shared by every synthesis arm.  Heuristic
     routers ({!Olsq2_heuristic}) and the SATMap-style baseline expose
     one of these next to their native return types, so the optimality-gap

@@ -280,6 +280,8 @@ type oracle = Optimizer.oracle = Session | Classic | Transition_based
 
 type certification = No_certificate | On_session | Classic_fallback of Config.t
 
+type window = { ball : Window.ball option; reason : string }
+
 type plan = {
   config : Config.t;
   oracle : oracle;
@@ -287,6 +289,7 @@ type plan = {
   cube_depth : int option;
   certification : certification;
   proof_file : string option;
+  window : window;
   overrides : (string * string) list;
 }
 
@@ -301,7 +304,37 @@ let session_mismatch config =
       if k = "symmetry" || List.assoc k default = v then None else Some (k ^ "=" ^ v))
     (Config.to_assoc config)
 
-let plan (options : Options.t) objective (_ : Instance.t) =
+(* A device of more than 2 |Q| qubits is solved first on the BFS ball of
+   2 |Q| of them (smaller balls are no faster: finding a long path in a
+   tight ball is hard for the solver).  TB-OLSQ2 has no depth bound to
+   meet, so it never windows. *)
+let window_of ~certification objective (instance : Instance.t) =
+  let size = 2 * Instance.num_qubits instance and physical = Instance.num_physical instance in
+  match objective with
+  | Tb_blocks | Tb_swaps ->
+    { ball = None; reason = "TB objectives solve on the full device: no depth bound to meet" }
+  | (Depth | Swaps _ | Weighted_swaps _) when size >= physical ->
+    {
+      ball = None;
+      reason = Printf.sprintf "2*|Q| = %d is not below the %d physical qubits" size physical;
+    }
+  | Depth | Swaps _ | Weighted_swaps _ ->
+    let ball = Window.ball instance.Instance.device ~size in
+    {
+      ball = Some ball;
+      reason =
+        Printf.sprintf
+          "2*|Q| = %d < %d physical qubits: solved first on the %d-qubit BFS ball around \
+           vertex %d, kept if it meets the depth lower bound%s%s"
+          size physical size ball.Window.root
+          (match objective with Depth -> "" | _ -> " with no SWAP cost")
+          (match certification with
+          | No_certificate -> ""
+          | On_session | Classic_fallback _ ->
+            "; a kept answer is certified by the dependency chain, with no DRAT proof");
+    }
+
+let plan (options : Options.t) objective (instance : Instance.t) =
   let asked = options.Options.config in
   let config, config_notes =
     match objective with
@@ -379,6 +412,7 @@ let plan (options : Options.t) objective (_ : Instance.t) =
     cube_depth;
     certification;
     proof_file;
+    window = window_of ~certification objective instance;
     overrides =
       List.concat
         [
@@ -399,6 +433,8 @@ let plan (options : Options.t) objective (_ : Instance.t) =
 
 type stop = Optimal | Budget_spent of int option | Interrupted | No_solution
 
+type window_outcome = Accepted | Missed of string
+
 type report = {
   result : Result_.t option;
   optimal : bool;
@@ -411,6 +447,7 @@ type report = {
   certificate : Certificate.t option;
   plan : plan;
   stop : stop;
+  window : window_outcome option;
 }
 
 (* An unknown verdict means a solve ran out of budget (the global caps
@@ -436,10 +473,16 @@ let stop_of ~budget (o : Optimizer.outcome) =
 (* The session path checks the refutation [optimize] left in the sink;
    the classic fallback refutes the bound below the optimum on a fresh
    proof-logged pure-CNF encoder, under what is left of the run's budget
-   and attached to its preemption control. *)
-let certify plan ~budget ~sink ~objective instance (o : Optimizer.outcome) =
+   and attached to its preemption control.  An accepted window answer
+   meets the dependency chain, which is its certificate. *)
+let certify plan ~budget ~sink ~window ~objective instance (o : Optimizer.outcome) =
   let proof_file = plan.proof_file in
   match (plan.certification, sink, o.Optimizer.result) with
+  | No_certificate, _, _ -> None
+  | (On_session | Classic_fallback _), _, Some res when window = Some Accepted ->
+    Option.map
+      (fun (claim, optimum) -> Certificate.chain instance res claim ~optimum)
+      (Optimizer.certified_claim objective res)
   | On_session, Some sink, Some res ->
     Option.map (Certificate.finish ?proof_file ~sink instance res) o.Optimizer.refutation
   | Classic_fallback config, _, Some res when o.Optimizer.optimal -> (
@@ -449,7 +492,75 @@ let certify plan ~budget ~sink ~objective instance (o : Optimizer.outcome) =
     | Some (Certificate.Swaps_at_depth depth, swaps) ->
       Some (Certificate.certify_swaps ~config ~budget ?proof_file instance res ~depth ~swaps)
     | None -> None)
-  | (No_certificate | On_session | Classic_fallback _), _, _ -> None
+  | (On_session | Classic_fallback _), _, _ -> None
+
+(* The window attempt, in an [opt.window] span: one query at the depth
+   lower bound on the induced sub-device (SWAP weights read through its
+   edge map), the answer lifted to the device and kept only if it meets
+   the bound and validates on the full device. *)
+let try_window plan ~budget ?pool ~objective instance (ball : Window.ball) =
+  Obs.with_span (Obs.global ()) "opt.window"
+    ~attrs:[ ("qubits", Obs.Int (Array.length ball.Window.vertices)) ]
+  @@ fun () ->
+  let w = Window.restrict instance ball in
+  let on_window =
+    match objective with
+    | Weighted_swaps weights -> Weighted_swaps (fun e -> weights w.Window.edges.(e))
+    | Depth | Swaps _ | Tb_blocks | Tb_swaps -> objective
+  in
+  let o =
+    Optimizer.at_lower_bound ~config:plan.config ~oracle:plan.oracle ~budget ?pool on_window
+      w.Window.instance
+  in
+  let t_lb = Optimizer.depth_floor instance in
+  let verdict =
+    match o.Optimizer.result with
+    | None ->
+      let verdict =
+        String.concat ", " (List.map (fun it -> it.Optimizer.iter_verdict) o.Optimizer.iter_stats)
+      in
+      Error
+        (if verdict = "unsat" then
+           Printf.sprintf "no layout of depth %d%s on the window" t_lb
+             (match objective with Depth -> "" | _ -> " without SWAP cost")
+         else "window query " ^ verdict)
+    | Some r -> (
+      let lifted = Window.lift w r in
+      let cost =
+        match objective with
+        | Depth | Tb_blocks | Tb_swaps -> 0
+        | Swaps _ -> lifted.Result_.swap_count
+        | Weighted_swaps weights ->
+          List.fold_left
+            (fun acc (sw : Result_.swap) ->
+              let a, b = sw.Result_.sw_edge in
+              acc + weights (Olsq2_device.Coupling.edge_id instance.Instance.device a b))
+            0 lifted.Result_.swaps
+      in
+      if lifted.Result_.depth <> t_lb then
+        Error (Printf.sprintf "depth %d is above the lower bound %d" lifted.Result_.depth t_lb)
+      else if cost <> 0 then Error (Printf.sprintf "SWAP cost %d is above 0" cost)
+      else
+        match Validate.check instance lifted with
+        | [] -> Ok lifted
+        | v :: _ -> Error ("fails validation on the device: " ^ Validate.violation_to_string v))
+  in
+  match verdict with
+  | Ok lifted -> (Accepted, { o with Optimizer.result = Some lifted })
+  | Error reason -> (Missed reason, o)
+
+(* A missed window's effort counts towards the run that follows it. *)
+let after_window (w : Optimizer.outcome) (o : Optimizer.outcome) =
+  let stats = Olsq2_sat.Solver.stats_zero () in
+  Olsq2_sat.Solver.stats_add ~into:stats w.Optimizer.stats;
+  Olsq2_sat.Solver.stats_add ~into:stats o.Optimizer.stats;
+  {
+    o with
+    Optimizer.iterations = w.Optimizer.iterations + o.Optimizer.iterations;
+    total_seconds = w.Optimizer.total_seconds +. o.Optimizer.total_seconds;
+    stats;
+    iter_stats = w.Optimizer.iter_stats @ o.Optimizer.iter_stats;
+  }
 
 let run ?(options = Options.default) ~objective instance =
   let plan = plan options objective instance in
@@ -465,23 +576,36 @@ let run ?(options = Options.default) ~objective instance =
            ~tuning:options.Options.sat ())
     else None
   in
-  let sink =
-    match plan.certification with
-    | On_session -> Some (Drat.create ())
-    | No_certificate | Classic_fallback _ -> None
-  in
   let obs = Obs.global () in
   let since = if Obs.enabled obs then Some (Obs.elapsed obs) else None in
-  let outcome =
+  (* the full-device run; the session is proof-logged only here, never
+     on a window *)
+  let full () =
+    let sink =
+      match plan.certification with
+      | On_session -> Some (Drat.create ())
+      | No_certificate | Classic_fallback _ -> None
+    in
+    ( Optimizer.optimize ~config:plan.config ~oracle:plan.oracle ~budget ?pool
+        ?proof:(Option.map Drat.logger sink) objective instance,
+      sink )
+  in
+  let (outcome, sink), window =
     Obs.with_span obs ("synthesis." ^ objective_name objective) (fun () ->
-        Optimizer.optimize ~config:plan.config ~oracle:plan.oracle ~budget ?pool
-          ?proof:(Option.map Drat.logger sink) objective instance)
+        match plan.window.ball with
+        | None -> (full (), None)
+        | Some ball -> (
+          match try_window plan ~budget ?pool ~objective instance ball with
+          | Accepted, o -> ((o, None), Some Accepted)
+          | (Missed _ as missed), w ->
+            let o, sink = full () in
+            ((after_window w o, sink), Some missed)))
   in
   let stop = stop_of ~budget outcome in
   (* The check runs here, after [optimize] returned: the session's solver
      is garbage by now, so it and the checker's clause database are never
      alive together. *)
-  let certificate = certify plan ~budget ~sink ~objective instance outcome in
+  let certificate = certify plan ~budget ~sink ~window ~objective instance outcome in
   {
     result = outcome.Optimizer.result;
     optimal = outcome.Optimizer.optimal;
@@ -494,7 +618,27 @@ let run ?(options = Options.default) ~objective instance =
     certificate;
     plan;
     stop;
+    window;
   }
+
+(* An accepted window is certified by the dependency chain, which has
+   no DRAT proof, so the plan's proof file is not written. *)
+let proof_note r =
+  match (r.window, r.plan.proof_file) with
+  | Some Accepted, Some file ->
+    Some
+      (Printf.sprintf
+         "proof file %s not written: the window's answer is certified by the dependency chain, \
+          which has no DRAT proof"
+         file)
+  | (None | Some (Accepted | Missed _)), _ -> None
+
+(* The build this process runs, stamped into the environment at build or
+   deploy time (CI exports the workflow SHA); [None] when unset. *)
+let build_commit () =
+  match Sys.getenv_opt "OLSQ2_BUILD_COMMIT" with
+  | Some c when c <> "" -> Some c
+  | Some _ | None -> None
 
 (* ---- the run record ---- *)
 
@@ -518,15 +662,21 @@ let stop_to_string = function
   | Budget_spent (Some bound) -> Printf.sprintf "budget_spent (last bound %d)" bound
   | stop -> stop_name stop
 
+let window_to_string = function
+  | None -> "not tried"
+  | Some Accepted -> "accepted"
+  | Some (Missed reason) -> "missed (" ^ reason ^ ")"
+
 let pp_plan fmt p =
   Format.fprintf fmt "@[<v>plan: oracle=%s config=%s symmetry=%b simplify=%b workers=%d%s@,"
     (oracle_name p.oracle) (Config.name p.config) p.config.Config.symmetry p.config.Config.simplify
     p.workers
     (match p.cube_depth with Some k -> Printf.sprintf " cube_depth=%d" k | None -> "");
-  Format.fprintf fmt "certification: %s%s" (certification_name p.certification)
+  Format.fprintf fmt "certification: %s%s@," (certification_name p.certification)
     (match p.certification with
     | Classic_fallback c -> " (" ^ Config.name c ^ ")"
     | No_certificate | On_session -> "");
+  Format.fprintf fmt "window: %s" p.window.reason;
   List.iter
     (fun (field, reason) -> Format.fprintf fmt "@,override %s: %s" field reason)
     p.overrides;
@@ -553,6 +703,15 @@ let plan_to_json p =
           | Classic_fallback c -> [ ("config", config_json c) ]
           | No_certificate | On_session -> [])) );
       ("proof_file", opt_json (fun f -> Json.Str f) p.proof_file);
+      ( "window",
+        Json.Obj
+          [
+            ( "qubits",
+              opt_json (fun (b : Window.ball) -> num_int (Array.length b.Window.vertices)) p.window.ball
+            );
+            ("root", opt_json (fun (b : Window.ball) -> num_int b.Window.root) p.window.ball);
+            ("reason", Json.Str p.window.reason);
+          ] );
       ( "overrides",
         Json.Arr
           (List.map
@@ -609,10 +768,11 @@ let certificate_to_json (c : Certificate.t) =
         Json.Str
           (match c.Certificate.formula with
           | Certificate.Session -> "session"
-          | Certificate.Classic _ -> "classic") );
+          | Certificate.Classic _ -> "classic"
+          | Certificate.Chain -> "chain") );
       ( "formula_config",
         match c.Certificate.formula with
-        | Certificate.Session -> Json.Null
+        | Certificate.Session | Certificate.Chain -> Json.Null
         | Certificate.Classic config -> config_json config );
       ("model_valid", Json.Bool c.Certificate.model_valid);
       ( "lower_bound",
@@ -660,6 +820,19 @@ let report_to_json ~options ~objective r =
       ("options", Options.to_json options);
       ("plan", plan_to_json r.plan);
       ("stop", stop_to_json r.stop);
+      ( "window",
+        opt_json
+          (fun w ->
+            Json.Obj
+              (match w with
+              | Accepted ->
+                ("outcome", Json.Str "accepted")
+                ::
+                (match proof_note r with
+                | Some note -> [ ("proof_file", Json.Null); ("proof_note", Json.Str note) ]
+                | None -> [])
+              | Missed reason -> [ ("outcome", Json.Str "missed"); ("reason", Json.Str reason) ]))
+          r.window );
       ("optimal", Json.Bool r.optimal);
       ("iterations", num_int r.iterations);
       ("seconds", Json.Num r.seconds);
@@ -670,4 +843,5 @@ let report_to_json ~options ~objective r =
       ("trace", trace_to_json r.trace);
       ( "env",
         Json.Obj (List.map (fun (k, v) -> (k, opt_json (fun s -> Json.Str s) v)) Options.env) );
+      ("build_commit", opt_json (fun c -> Json.Str c) (build_commit ()));
     ]

@@ -196,6 +196,12 @@ type oracle = Optimizer.oracle = Session | Classic | Transition_based
     the run's). *)
 type certification = No_certificate | On_session | Classic_fallback of Config.t
 
+(** The device window a run tries first ({!Window}): the BFS ball of
+    [2 * |Q|] physical qubits around the device's highest-degree vertex
+    when the device has more than [2 * |Q|] and the objective is not a
+    TB one, else [None]; [reason] says why, either way. *)
+type window = { ball : Window.ball option; reason : string }
+
 (** Everything a run does, decided up front. *)
 type plan = {
   config : Config.t;
@@ -207,6 +213,7 @@ type plan = {
   cube_depth : int option;  (** [None] at [workers = 1] *)
   certification : certification;
   proof_file : string option;  (** [None] without a certificate *)
+  window : window;
   overrides : (string * string) list;
       (** one [(option field, reason)] entry for every option this plan
           changed or ignored, e.g. [("symmetry", "off for weighted
@@ -225,6 +232,12 @@ val plan : Options.t -> objective -> Instance.t -> plan
     its budget's control was preempted; or it ended without a solution
     and with budget left (e.g. TB-OLSQ2's block-count limit). *)
 type stop = Optimal | Budget_spent of int option | Interrupted | No_solution
+
+(** What became of the plan's window: its answer met the depth lower
+    bound (at no SWAP cost for the SWAP objectives) and validated on the
+    full device, so it is the run's optimal answer; or it [Missed], with
+    the reason, and the run went on to the full device. *)
+type window_outcome = Accepted | Missed of string
 
 (** Outcome of a synthesis run, unified across full and transition-based
     models.  For TB objectives, [result] holds the expanded concrete
@@ -254,34 +267,61 @@ type report = {
           proved optimality *)
   plan : plan;  (** what ran *)
   stop : stop;  (** why it stopped *)
+  window : window_outcome option;  (** [None] when the plan has no window *)
 }
 
 (** [run ?options ~objective instance] synthesizes a layout for
     [instance] minimizing [objective]: it executes
-    [plan options objective instance] (default {!Options.default}).  The
-    whole run is wrapped in a [synthesis.<objective>] span on the global
-    tracer. *)
+    [plan options objective instance] (default {!Options.default}).  With
+    a window, it first asks the planned oracle one query on the window
+    ({!Optimizer.at_lower_bound}, not proof-logged) inside an
+    [opt.window] span, and returns the lifted answer as optimal when it
+    meets the bound and validates on the full device (certified, under
+    [certify], by {!Certificate.chain}); otherwise it runs the full
+    device as planned under what is left of the same budget, and the
+    report counts both.  The whole run is wrapped in a
+    [synthesis.<objective>] span on the global tracer. *)
 val run : ?options:Options.t -> objective:objective -> Instance.t -> report
 
 (** {2 Reporting} *)
 
 (** The plan for humans: oracle, effective config, pool, certification
-    path, then one [override FIELD: REASON] line per override. *)
+    path, the window's reason, then one [override FIELD: REASON] line
+    per override. *)
 val pp_plan : Format.formatter -> plan -> unit
 
 (** ["optimal"], ["budget_spent (last bound D)"], ["interrupted"] or
     ["no_solution"]. *)
 val stop_to_string : stop -> string
 
+(** ["not tried"] ([None]), ["accepted"] or ["missed (REASON)"]. *)
+val window_to_string : window_outcome option -> string
+
+(** [Some note] when the plan names a proof file that the run did not
+    write: an accepted window is certified by the dependency chain
+    ({!Certificate.chain}), which has no DRAT proof.  The note names the
+    file and says why. *)
+val proof_note : report -> string option
+
+(** The [OLSQ2_BUILD_COMMIT] environment variable ([None] when unset or
+    empty): the record's [build_commit] and serve's [/buildinfo]. *)
+val build_commit : unit -> string option
+
 (** The run record: one JSON object with the objective, the options as
-    run, the plan and its overrides, [stop] ([{"reason": "optimal" |
-    "budget_spent" | "interrupted" | "no_solution"}], plus [last_bound]
-    for a spent budget), [optimal], [iterations], [seconds], [pareto],
-    the [iter_stats] timeline (phase, bound, verdict, seconds,
-    conflicts, propagations), the [solver_stats] totals, the
-    [certificate] (valid, objective, optimum, formula [session] or
-    [classic] with its config, lower-bound detail) or [null], the
-    [trace] counters and span totals or [null] when the tracer was off,
-    and the [env] values {!Options.env} read. *)
+    run, the plan (its [window] as [{"qubits", "root", "reason"}], the
+    first two [null] without a window) and its overrides, [stop]
+    ([{"reason": "optimal" | "budget_spent" | "interrupted" |
+    "no_solution"}], plus [last_bound] for a spent budget), [window]
+    ([{"outcome": "accepted"}], plus [{"proof_file": null, "proof_note":
+    ...}] when a proof file was asked for ({!proof_note}),
+    [{"outcome": "missed", "reason": ...}],
+    or [null] without a window), [optimal], [iterations], [seconds],
+    [pareto], the [iter_stats] timeline (phase, bound, verdict,
+    seconds, conflicts, propagations), the [solver_stats] totals, the
+    [certificate] (valid, objective, optimum, formula [session],
+    [classic] with its config, or [chain], lower-bound detail) or
+    [null], the [trace] counters and span totals or [null] when the
+    tracer was off, the [env] values {!Options.env} read, and
+    [build_commit] ({!build_commit}, [null] when unset). *)
 val report_to_json :
   options:Options.t -> objective:objective -> report -> Olsq2_obs.Obs.Json.json

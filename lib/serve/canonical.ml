@@ -140,36 +140,16 @@ let fingerprint s =
 
 (* ---- result translation ---- *)
 
-(* Results are stored in canonical space and translated per request.
-   With [cfwd] mapping submitted program qubits to canonical ones and
-   [dfwd] submitted physical qubits to canonical ones:
-     mapping_canon.(t).(cfwd q) = dfwd.(mapping_sub.(t).(q))
-   The schedule is indexed by gate id, which relabelling preserves, so it
-   transfers unchanged; swap edges map endpoint-wise and re-normalize. *)
-
-let map_result ~(device : int array) ~(circuit_map : int array) (r : Result_.t) =
-  let mapping =
-    Array.map
-      (fun row ->
-        let row' = Array.make (Array.length row) (-1) in
-        Array.iteri (fun q p -> row'.(circuit_map.(q)) <- device.(p)) row;
-        row')
-      r.Result_.mapping
-  in
-  let swaps =
-    List.map
-      (fun (s : Result_.swap) ->
-        let a, b = s.Result_.sw_edge in
-        let a = device.(a) and b = device.(b) in
-        { s with Result_.sw_edge = (if a < b then (a, b) else (b, a)) })
-      r.Result_.swaps
-  in
-  { r with Result_.mapping; swaps }
+(* Results are stored in canonical space and translated per request
+   ([Result_.map_physical]).  With [cfwd] mapping submitted program
+   qubits to canonical ones and [dfwd] submitted physical qubits to
+   canonical ones:
+     mapping_canon.(t).(cfwd q) = dfwd.(mapping_sub.(t).(q)) *)
 
 let to_canonical ~device:(d : relabeling) ~circuit:(c : relabeling) r =
-  map_result ~device:d.fwd ~circuit_map:c.fwd r
+  Result_.map_physical ~physical:d.fwd ~program:c.fwd r
 
 let of_canonical ~device:(d : relabeling) ~circuit:(c : relabeling) r =
   (* inverse direction: canonical row index cq corresponds to submitted
      qubit c.inv.(cq); express it as a forward map from canonical space *)
-  map_result ~device:d.inv ~circuit_map:c.inv r
+  Result_.map_physical ~physical:d.inv ~program:c.inv r

@@ -50,12 +50,9 @@ let default_config =
 
 let version = "1.0.0"
 
-(* Build commit for fleet observability: stamped into the environment at
-   build/deploy time (CI exports the workflow SHA); "unknown" otherwise. *)
-let build_commit () =
-  match Sys.getenv_opt "OLSQ2_BUILD_COMMIT" with
-  | Some c when c <> "" -> c
-  | _ -> "unknown"
+(* Build commit for fleet observability ([Synthesis.build_commit], the
+   run record's reader); "unknown" when unset. *)
+let build_commit () = Option.value ~default:"unknown" (Synthesis.build_commit ())
 
 (* seconds past its own wall budget a run gets before the watchdog
    preempts it: the engine normally stops itself at the deadline via

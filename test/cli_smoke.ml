@@ -10,7 +10,9 @@
    - --record FILE: one JSON object whose key set, plan and stop values
      match the golden ones below (timings are not compared);
    - --certify: the certificate verdict, the exit code and the emitted
-     DRAT proof file, on the session, with --simplify and with -j 2.
+     DRAT proof file, on the session, with --simplify and with -j 2;
+     on a device window, the chain certificate and the note that no
+     proof file was written.
 
    Usage: cli_smoke.exe PATH_TO_OLSQ2_CLI *)
 
@@ -81,8 +83,8 @@ let check_jsonl_trace path =
 
 let record_keys =
   [
-    "objective"; "options"; "plan"; "stop"; "optimal"; "iterations"; "seconds"; "pareto";
-    "iter_stats"; "solver_stats"; "certificate"; "trace"; "env";
+    "objective"; "options"; "plan"; "stop"; "window"; "optimal"; "iterations"; "seconds"; "pareto";
+    "iter_stats"; "solver_stats"; "certificate"; "trace"; "env"; "build_commit";
   ]
 
 let () =
@@ -148,7 +150,9 @@ let () =
   List.iter
     (fun (needle, what) -> if not (contains stats_text needle) then die "--stats printed no %s" what)
     [
-      ("plan: oracle=", "plan"); ("stop: optimal", "stop reason"); ("solver stats", "solver stats block");
+      ("plan: oracle=", "plan"); ("window: 2*|Q| = 8 is not below", "window reason");
+      ("stop: optimal", "stop reason"); ("window outcome: not tried", "window outcome");
+      ("solver stats", "solver stats block");
       ("p50=", "histogram quantiles"); ("/s)", "propagation rate"); ("iterations:", "per-iteration table");
       ("trace summary", "span and counter summary");
     ];
@@ -162,7 +166,7 @@ let () =
   let r = match Json.parse (read_all record) with Ok j -> j | Error e -> die "record is not JSON: %s" e in
   if keys r <> record_keys then die "record keys: %s" (String.concat "," (keys r));
   if keys (member [ "plan" ] r)
-     <> [ "config"; "oracle"; "workers"; "cube_depth"; "certification"; "proof_file"; "overrides" ]
+     <> [ "config"; "oracle"; "workers"; "cube_depth"; "certification"; "proof_file"; "window"; "overrides" ]
   then die "plan keys: %s" (String.concat "," (keys (member [ "plan" ] r)));
   List.iter
     (fun (path, want) ->
@@ -179,6 +183,27 @@ let () =
   | Json.Arr [ o ] when str [ "field" ] o = "symmetry" -> ()
   | _ -> die "the record's overrides do not name symmetry alone");
   if member [ "certificate"; "valid" ] r <> Json.Bool true then die "record certificate is not valid";
+  Sys.remove record;
+  (* a device of more than 2 |Q| qubits: the window's answer meets the
+     dependency chain and is certified by it, so the asked-for proof file
+     is not written, and stderr and the record say so *)
+  let proof = temp ".drat" in
+  Sys.remove proof;
+  synth cli ~err
+    (Printf.sprintf "brick:8 -d heavy-hex-3x7 -j 1 --incremental --certify --proof %s --record %s"
+       (Filename.quote proof) (Filename.quote record));
+  if Sys.file_exists proof then die "an accepted window wrote a proof file";
+  if not (contains (read_all err) "not written: the window's answer is certified by the dependency chain")
+  then die "an accepted window with --proof printed no note that the proof was not written";
+  let r = match Json.parse (read_all record) with Ok j -> j | Error e -> die "record is not JSON: %s" e in
+  List.iter
+    (fun (path, want) ->
+      let got = str path r in
+      if got <> want then die "windowed record %s = %s, want %s" (String.concat "." path) got want)
+    [ ([ "window"; "outcome" ], "accepted"); ([ "certificate"; "formula" ], "chain") ];
+  if member [ "window"; "proof_file" ] r <> Json.Null then die "windowed record names a proof file";
+  ignore (str [ "window"; "proof_note" ] r);
+  if member [ "certificate"; "valid" ] r <> Json.Bool true then die "chain certificate is not valid";
   Sys.remove record;
   (* parallel run: -j 2 (with the conflict budget flag along for the
      ride) must still print a layout on stdout *)

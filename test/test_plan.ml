@@ -195,15 +195,16 @@ let test_record_symmetry_certify () =
   Alcotest.(check (list string))
     "record keys"
     [
-      "objective"; "options"; "plan"; "stop"; "optimal"; "iterations"; "seconds"; "pareto";
-      "iter_stats"; "solver_stats"; "certificate"; "trace"; "env";
+      "objective"; "options"; "plan"; "stop"; "window"; "optimal"; "iterations"; "seconds";
+      "pareto"; "iter_stats"; "solver_stats"; "certificate"; "trace"; "env"; "build_commit";
     ]
     (keys j);
   Alcotest.(check string)
     "plan"
-    {|{"config":{"formulation":"olsq2","var_encoding":"binary","injectivity":"pairwise","cardinality":"seq_counter","simplify":false,"symmetry":true},"oracle":"session","workers":1,"cube_depth":null,"certification":{"kind":"classic_fallback","config":{"formulation":"olsq2","var_encoding":"binary","injectivity":"pairwise","cardinality":"seq_counter","simplify":false,"symmetry":false}},"proof_file":null,"overrides":[{"field":"symmetry","reason":"certified by a classic re-solve: the checker cannot lift a refutation of the orbit-restricted formula"}]}|}
+    {|{"config":{"formulation":"olsq2","var_encoding":"binary","injectivity":"pairwise","cardinality":"seq_counter","simplify":false,"symmetry":true},"oracle":"session","workers":1,"cube_depth":null,"certification":{"kind":"classic_fallback","config":{"formulation":"olsq2","var_encoding":"binary","injectivity":"pairwise","cardinality":"seq_counter","simplify":false,"symmetry":false}},"proof_file":null,"window":{"qubits":null,"root":null,"reason":"2*|Q| = 8 is not below the 4 physical qubits"},"overrides":[{"field":"symmetry","reason":"certified by a classic re-solve: the checker cannot lift a refutation of the orbit-restricted formula"}]}|}
     (Json.to_string (member [ "plan" ] j));
   Alcotest.(check string) "stop" {|{"reason":"optimal"}|} (Json.to_string (member [ "stop" ] j));
+  checkb "no window, no window outcome" true (member [ "window" ] j = Json.Null);
   Alcotest.(check string) "certificate formula" "classic" (str [ "certificate"; "formula" ] j);
   checkb "certificate valid" true (member [ "certificate"; "valid" ] j = Json.Bool true);
   checkb "trace is null with the tracer off" true (member [ "trace" ] j = Json.Null);

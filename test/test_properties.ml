@@ -361,10 +361,27 @@ let prop_optima_identity =
             | [] -> true)
           objectives)
 
+(* The session certificate on the full device, outside [Synthesis.run]:
+   the refinement loop on the proof-logged session, refuted in place. *)
+let full_device_session_certificate objective inst =
+  let module Drat = Olsq2_proof.Drat in
+  let sink = Drat.create () in
+  let o =
+    Core.Optimizer.optimize ~config:Core.Config.default ~oracle:Core.Optimizer.Session
+      ~budget:(Core.Budget.start (Core.Budget.of_seconds 60.0))
+      ~proof:(Drat.logger sink) objective inst
+  in
+  match (o.Core.Optimizer.result, o.Core.Optimizer.refutation) with
+  | Some res, Some refutation -> Some (Core.Certificate.finish ~sink inst res refutation)
+  | _ -> None
+
 (* property: on random small instances, the certificate of the session
    (the formula that found the optimum, refuted in place) and the classic
    re-solve at the same optimum are both valid — the re-solve is the
-   independent cross-check of the session path. *)
+   independent cross-check of the session path.  A run whose device
+   window was accepted is certified by the dependency chain instead; its
+   session certificate is then built on the full device directly, and
+   must be valid and certify the same optimum. *)
 let prop_session_certificates_cross_check =
   Q.Test.make ~count:40 ~name:"session and classic certificates agree" instance_arbitrary
     (fun inst ->
@@ -391,11 +408,30 @@ let prop_session_certificates_cross_check =
                   Core.Certificate.certify_swaps inst res ~depth
                     ~swaps:cert.Core.Certificate.optimum
               in
-              (cert.Core.Certificate.formula = Core.Certificate.Session
-              || Q.Test.fail_report "the session run certified another formula")
-              && (Core.Certificate.valid cert
-                 || Q.Test.fail_reportf "session certificate rejected:\n%s"
-                      (Core.Certificate.to_string cert))
+              let formula_ok, session =
+                match report.Core.Synthesis.window with
+                | Some Core.Synthesis.Accepted ->
+                  ( (cert.Core.Certificate.formula = Core.Certificate.Chain
+                    || Q.Test.fail_report "an accepted window certified another formula")
+                    && (Core.Certificate.valid cert
+                       || Q.Test.fail_reportf "chain certificate rejected:\n%s"
+                            (Core.Certificate.to_string cert)),
+                    full_device_session_certificate objective inst )
+                | Some (Core.Synthesis.Missed _) | None ->
+                  ( cert.Core.Certificate.formula = Core.Certificate.Session
+                    || Q.Test.fail_report "the session run certified another formula",
+                    Some cert )
+              in
+              formula_ok
+              && (match session with
+                 | Some session ->
+                   (Core.Certificate.valid session
+                   || Q.Test.fail_reportf "session certificate rejected:\n%s"
+                        (Core.Certificate.to_string session))
+                   && (session.Core.Certificate.optimum = cert.Core.Certificate.optimum
+                      || Q.Test.fail_reportf "session certifies %d, the run %d"
+                           session.Core.Certificate.optimum cert.Core.Certificate.optimum)
+                 | None -> Q.Test.fail_report "no session certificate on the full device")
               && (Core.Certificate.valid classic
                  || Q.Test.fail_reportf "classic certificate rejected:\n%s"
                       (Core.Certificate.to_string classic))
