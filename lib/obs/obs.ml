@@ -361,14 +361,37 @@ let hist t name v =
 
 (* ---- reading back ---- *)
 
-let events t =
+(* The order of a stable sort on [(ts, tid)], without boxing a tuple per
+   comparison. *)
+let by_time a b =
+  let c = Float.compare a.ts b.ts in
+  if c <> 0 then c else Int.compare a.tid b.tid
+
+(* Each buffer is written only by its own domain, so a reader walks it
+   without the tracer lock.  [evs] is read before [len]: a growing buffer
+   swaps in a larger array, and the [min] keeps a stale pair in bounds.
+   Only the kept events are consed and sorted; a reader asking for one
+   job's events pays a walk of the buffers, not a copy and sort of them. *)
+let events ?since ?tid t =
   Mutex.lock t.lock;
   let buffers = t.buffers in
   Mutex.unlock t.lock;
-  let all =
-    List.concat_map (fun b -> Array.to_list (Array.sub b.evs 0 b.len)) buffers
+  let keep ev = match since with None -> true | Some s -> ev.ts >= s in
+  let walk b kept =
+    match tid with
+    | Some id when id <> b.btid -> kept
+    | _ ->
+      let evs = b.evs in
+      let kept = ref kept in
+      for i = min b.len (Array.length evs) - 1 downto 0 do
+        let ev = evs.(i) in
+        if keep ev then kept := ev :: !kept
+      done;
+      !kept
   in
-  List.stable_sort (fun a b -> compare (a.ts, a.tid) (b.ts, b.tid)) all
+  (* walked back to front, so the list holds each buffer in record order
+     and the stable sort keeps that order among equal (ts, tid) *)
+  List.stable_sort by_time (List.fold_right walk buffers [])
 
 let reset t =
   Mutex.lock t.lock;
@@ -404,7 +427,7 @@ let empty_summary =
 let summary ?(since = 0.0) t =
   if not t.on then empty_summary
   else begin
-    let evs = List.filter (fun ev -> ev.ts >= since) (events t) in
+    let evs = events ~since t in
     let spans : (string, span_stat) Hashtbl.t = Hashtbl.create 16 in
     let counters : (string, int) Hashtbl.t = Hashtbl.create 16 in
     let gauges : (string, float) Hashtbl.t = Hashtbl.create 16 in

@@ -148,8 +148,11 @@ val hist : t -> string -> float -> unit
 
 (** {2 Reading back} *)
 
-(** All recorded events, merged across domains, ordered by timestamp. *)
-val events : t -> event list
+(** Recorded events, merged across domains, ordered by timestamp (ties by
+    [tid], then record order).  [since] keeps events with [ts >= since];
+    [tid] walks only that domain's buffer.  The filters apply while the
+    buffers are walked, so only the kept events are copied and sorted. *)
+val events : ?since:float -> ?tid:int -> t -> event list
 
 (** Drop all recorded events (buffers stay registered). *)
 val reset : t -> unit
@@ -168,8 +171,10 @@ type summary = {
 
 val empty_summary : summary
 
-(** Aggregate the recorded events; [since] (a {!elapsed}-style timestamp)
-    restricts to events starting at or after it. *)
+(** Aggregate the recorded events of every domain, read as {!events}
+    reads them; [since] (a {!elapsed}-style timestamp, default [0.0])
+    restricts to events starting at or after it.  [events_dropped]
+    counts every domain's drops, whatever [since]. *)
 val summary : ?since:float -> t -> summary
 
 val pp_summary : Format.formatter -> summary -> unit

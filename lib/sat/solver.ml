@@ -884,7 +884,7 @@ let add_clause t lits =
     | exception Trivial_clause ->
       (* Root-satisfied or tautological: the clause never enters the
          database, so a deletion line keeps the proof deletion-exact. *)
-      log_delete t (Array.of_list lits)
+      (match t.proof with None -> () | Some p -> p.on_delete (Array.of_list lits))
     | simplified ->
       (* When root simplification shrank the clause, the database holds
          [simplified], not [lits]: log the reduced clause as a RUP addition

@@ -204,18 +204,17 @@ let max_trace_events = 2000
 
 (* Snapshot the span/instant events this worker domain recorded during
    the job's window — the global tracer is shared, so the (tid, time
-   window) pair is what scopes a job's trace.  The request id rides in
-   the surrounding [serve.job] span's attributes, which is how a trace
-   retrieved via [GET /jobs/:id/trace] proves cross-domain propagation. *)
+   window) pair is what scopes a job's trace.  The read walks only the
+   worker's buffer and keeps only the window's events.  The request id
+   rides in the surrounding [serve.job] span's attributes, which is how a
+   trace retrieved via [GET /jobs/:id/trace] proves cross-domain
+   propagation. *)
 let capture_trace t ~tid ~t0 ~t1 =
   let evs =
     List.filter
       (fun ev ->
-        ev.Obs.tid = tid
-        && (ev.Obs.kind = Obs.Span || ev.Obs.kind = Obs.Instant)
-        && ev.Obs.ts >= t0 -. 1e-9
-        && ev.Obs.ts <= t1 +. 1e-9)
-      (Obs.events t.obs)
+        (ev.Obs.kind = Obs.Span || ev.Obs.kind = Obs.Instant) && ev.Obs.ts <= t1 +. 1e-9)
+      (Obs.events ~since:(t0 -. 1e-9) ~tid t.obs)
   in
   let rec take n = function [] -> [] | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl in
   Json.Arr (List.map Obs.event_to_json (take max_trace_events evs))

@@ -285,6 +285,174 @@ let test_domains_record_independently () =
   in
   Alcotest.(check bool) "two recording domains" true (List.length tids = 2)
 
+(* ---- filtered reads against the copy-sort-filter reader ---- *)
+
+(* One domain's share of an interleaved load: nested spans, instants,
+   counters, gauges and hists under names both domains use.  Every event
+   carries the domain's record sequence number (spans and instants as a
+   "seq" attribute, counters as their delta, gauges and hists as their
+   value), so each buffer's record order can be rebuilt from any read.
+   Returns how many events the domain tried to record. *)
+let record_mix t n =
+  let seq = ref 0 in
+  let next () =
+    incr seq;
+    !seq
+  in
+  for i = 1 to n do
+    let outer = Obs.begin_span t "mix.outer" in
+    Obs.instant t ~attrs:[ ("seq", Obs.Int (next ())) ] "mix.mark";
+    Obs.count t "mix.count" (next ());
+    (match i mod 3 with
+    | 0 ->
+      let inner = Obs.begin_span t "mix.inner" in
+      Obs.gauge t "mix.gauge" (float_of_int (next ()));
+      Obs.end_span t ~attrs:[ ("seq", Obs.Int (next ())) ] inner
+    | 1 -> Obs.hist t "mix.hist" (float_of_int (next ()))
+    | _ -> Obs.gauge t "mix.gauge" (float_of_int (next ())));
+    Obs.end_span t ~attrs:[ ("seq", Obs.Int (next ())) ] outer
+  done;
+  !seq
+
+let seq_of ev =
+  match (ev.Obs.kind, ev.Obs.attrs) with
+  | (Obs.Span | Obs.Instant), attrs -> (
+    match List.assoc_opt "seq" attrs with Some (Obs.Int n) -> n | _ -> Alcotest.fail "no seq")
+  | Obs.Count, ("value", Obs.Int n) :: _ -> n
+  | (Obs.Gauge | Obs.Hist), ("value", Obs.Float v) :: _ -> int_of_float v
+  | _ -> Alcotest.fail "event without a sequence number"
+
+(* The reader as it was before filtered walks: every buffer copied out in
+   record order, the whole list stable-sorted on the boxed (ts, tid)
+   tuple, then filtered. *)
+let reference_events ?since ?tid t =
+  let by_tid = Hashtbl.create 4 in
+  List.iter
+    (fun ev ->
+      Hashtbl.replace by_tid ev.Obs.tid
+        (ev :: Option.value ~default:[] (Hashtbl.find_opt by_tid ev.Obs.tid)))
+    (Obs.events t);
+  let buffers =
+    Hashtbl.fold
+      (fun _ evs acc ->
+        let buf = List.sort (fun a b -> compare (seq_of a) (seq_of b)) evs in
+        let seqs = List.map seq_of buf in
+        Alcotest.(check int) "sequence numbers unique per domain" (List.length seqs)
+          (List.length (List.sort_uniq compare seqs));
+        buf :: acc)
+      by_tid []
+  in
+  List.concat buffers
+  |> List.stable_sort (fun a b -> compare (a.Obs.ts, a.Obs.tid) (b.Obs.ts, b.Obs.tid))
+  |> List.filter (fun ev ->
+         (match since with None -> true | Some s -> ev.Obs.ts >= s)
+         && match tid with None -> true | Some id -> ev.Obs.tid = id)
+
+(* The summary's aggregation over the reference events, as it was. *)
+let reference_summary ~since ~dropped t =
+  let evs = reference_events ~since t in
+  let spans = Hashtbl.create 4 and counters = Hashtbl.create 4 in
+  let gauges = Hashtbl.create 4 and hists = Hashtbl.create 4 in
+  List.iter
+    (fun ev ->
+      match (ev.Obs.kind, ev.Obs.attrs) with
+      | Obs.Span, _ ->
+        let calls, total, mx =
+          Option.value ~default:(0, 0.0, 0.0) (Hashtbl.find_opt spans ev.Obs.name)
+        in
+        Hashtbl.replace spans ev.Obs.name (calls + 1, total +. ev.Obs.dur, Float.max mx ev.Obs.dur)
+      | Obs.Count, ("value", Obs.Int d) :: _ ->
+        Hashtbl.replace counters ev.Obs.name
+          (d + Option.value ~default:0 (Hashtbl.find_opt counters ev.Obs.name))
+      | Obs.Gauge, ("value", Obs.Float v) :: _ -> Hashtbl.replace gauges ev.Obs.name v
+      | Obs.Hist, ("value", Obs.Float v) :: _ ->
+        let h =
+          match Hashtbl.find_opt hists ev.Obs.name with
+          | Some h -> h
+          | None ->
+            let h = Obs.Histogram.create () in
+            Hashtbl.add hists ev.Obs.name h;
+            h
+        in
+        Obs.Histogram.observe h v
+      | _ -> ())
+    evs;
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  ( sorted spans,
+    sorted counters,
+    sorted gauges,
+    List.map (fun (k, h) -> (k, Obs.Histogram.buckets h, Obs.Histogram.sum h)) (sorted hists),
+    List.length evs,
+    dropped )
+
+let summary_fields (s : Obs.summary) =
+  ( List.sort compare
+      (List.map
+         (fun (k, st) -> (k, (st.Obs.calls, st.Obs.total_seconds, st.Obs.max_seconds)))
+         s.Obs.span_stats),
+    s.Obs.counters,
+    s.Obs.gauges,
+    List.map (fun (k, h) -> (k, Obs.Histogram.buckets h, Obs.Histogram.sum h)) s.Obs.hists,
+    s.Obs.events_recorded,
+    s.Obs.events_dropped )
+
+(* Two domains record the mix at once; at [capacity] each buffer fills
+   and drops the rest.  Every filtered read and summary must equal the
+   reference event for event, field for field. *)
+let check_filtered_reads ~capacity ~n =
+  let t = Obs.create ~capacity () in
+  let other = Domain.spawn (fun () -> record_mix t n) in
+  let here = record_mix t n in
+  let there = Domain.join other in
+  let dropped = max 0 (here - capacity) + max 0 (there - capacity) in
+  (* tie the reader to what was written, not to itself: every kept event
+     read exactly once, and a full buffer drops the newest, so each
+     domain's sequence numbers run 1, 2, ... without a gap *)
+  let read = Obs.events t in
+  Alcotest.(check int) "events read = recorded - dropped" (here + there - dropped)
+    (List.length read);
+  let kept =
+    List.sort_uniq compare (List.map (fun ev -> ev.Obs.tid) read)
+    |> List.map (fun id ->
+           List.filter (fun ev -> ev.Obs.tid = id) read |> List.map seq_of |> List.sort compare)
+  in
+  List.iter
+    (fun seqs ->
+      Alcotest.(check (list int)) "sequence numbers contiguous from 1"
+        (List.init (List.length seqs) (fun i -> i + 1))
+        seqs)
+    kept;
+  Alcotest.(check (list int)) "per-domain kept counts"
+    (List.sort compare [ min here capacity; min there capacity ])
+    (List.sort compare (List.map List.length kept));
+  let all = reference_events t in
+  let tids = List.sort_uniq compare (List.map (fun ev -> ev.Obs.tid) all) in
+  Alcotest.(check int) "two recording domains" 2 (List.length tids);
+  let nth_ts k = (List.nth all (k * (List.length all - 1) / 4)).Obs.ts in
+  let last = (List.nth all (List.length all - 1)).Obs.ts in
+  let sinces = [ None; Some 0.0; Some (nth_ts 1); Some (nth_ts 2); Some (nth_ts 3); Some last; Some (last +. 1.0) ] in
+  let same msg a b = Alcotest.(check bool) msg true (a = b) in
+  List.iter
+    (fun since ->
+      List.iter
+        (fun tid ->
+          let got = Obs.events ?since ?tid t and want = reference_events ?since ?tid t in
+          Alcotest.(check int) "filtered read length" (List.length want) (List.length got);
+          same "filtered read matches the copy-sort-filter reader" want got)
+        (None :: List.map Option.some tids);
+      let s = Option.value ~default:0.0 since in
+      same "summary matches the reference aggregation"
+        (reference_summary ~since:s ~dropped t)
+        (summary_fields (Obs.summary ?since t)))
+    sinces;
+  let s = Obs.summary t in
+  Alcotest.(check int) "dropped count" dropped s.Obs.events_dropped;
+  Alcotest.(check bool) "gauge read back" true (List.mem_assoc "mix.gauge" s.Obs.gauges)
+
+let test_filtered_reads () = check_filtered_reads ~capacity:200_000 ~n:400
+
+let test_filtered_reads_at_capacity () = check_filtered_reads ~capacity:500 ~n:400
+
 (* ---- export formats ---- *)
 
 let test_jsonl_golden () =
@@ -680,6 +848,8 @@ let suite =
         Alcotest.test_case "prometheus export" `Quick test_prometheus_export;
         Alcotest.test_case "disabled no-op" `Quick test_disabled_noop;
         Alcotest.test_case "domain-safe recording" `Quick test_domains_record_independently;
+        Alcotest.test_case "filtered reads match the reference" `Quick test_filtered_reads;
+        Alcotest.test_case "filtered reads at capacity" `Quick test_filtered_reads_at_capacity;
         Alcotest.test_case "jsonl golden" `Quick test_jsonl_golden;
         Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "chrome export" `Quick test_chrome_export;

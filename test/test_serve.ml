@@ -669,48 +669,73 @@ let test_request_tracing () =
       checkb "buildinfo commit" true
         (match member "commit" j with Json.Str c -> String.length c > 0 | _ -> false);
       check Alcotest.int "buildinfo workers" 1 (as_int (member "pool_workers" j));
-      (* an async job: the finished trace must show the worker-domain
-         serve.job span stamped with the submitting connection's rid *)
-      let status, body =
-        post port "/jobs" {|{"circuit":"qaoa:4:1","device":"qx2","objective":"swaps"}|}
+      (* submit an async job, wait for it to finish, and read back its
+         trace: the rid minted at submission and the trace's events *)
+      let job_trace request =
+        let status, body = post port "/jobs" request in
+        check Alcotest.int "job accepted" 202 status;
+        let id =
+          match member "request_id" (parse_json body) with
+          | Json.Str s -> s
+          | _ -> Alcotest.fail "no job id"
+        in
+        let rec poll tries =
+          if tries = 0 then Alcotest.fail "job never finished";
+          let _, body = get port ("/jobs/" ^ id) in
+          match Json.member "state" (parse_json body) with
+          | Some (Json.Str ("queued" | "running")) ->
+            Unix.sleepf 0.1;
+            poll (tries - 1)
+          | _ -> ()
+        in
+        poll 300;
+        let status, body = get port ("/jobs/" ^ id ^ "/trace") in
+        check Alcotest.int "trace status" 200 status;
+        let j = parse_json body in
+        let rid =
+          match member "rid" j with Json.Str r -> r | _ -> Alcotest.fail "trace has no rid"
+        in
+        checkb "rid shape" true (String.length rid >= 2 && rid.[0] = 'r');
+        let evs =
+          match member "events" j with Json.Arr evs -> evs | _ -> Alcotest.fail "no events array"
+        in
+        checkb "trace nonempty" true (evs <> []);
+        (rid, evs)
       in
-      check Alcotest.int "job accepted" 202 status;
-      let id =
-        match member "request_id" (parse_json body) with
-        | Json.Str s -> s
-        | _ -> Alcotest.fail "no job id"
-      in
-      let rec poll tries =
-        if tries = 0 then Alcotest.fail "job never finished";
-        let _, body = get port ("/jobs/" ^ id) in
-        match Json.member "state" (parse_json body) with
-        | Some (Json.Str ("queued" | "running")) ->
-          Unix.sleepf 0.1;
-          poll (tries - 1)
-        | _ -> ()
-      in
-      poll 300;
-      let status, body = get port ("/jobs/" ^ id ^ "/trace") in
-      check Alcotest.int "trace status" 200 status;
-      let j = parse_json body in
-      let rid =
-        match member "rid" j with Json.Str r -> r | _ -> Alcotest.fail "trace has no rid"
-      in
-      checkb "rid shape" true (String.length rid >= 2 && rid.[0] = 'r');
-      let evs =
-        match member "events" j with Json.Arr evs -> evs | _ -> Alcotest.fail "no events array"
-      in
-      checkb "trace nonempty" true (evs <> []);
-      (match
-         List.find_opt (fun e -> Json.member "name" e = Some (Json.Str "serve.job")) evs
-       with
+      let named evs n = List.find_opt (fun e -> Json.member "name" e = Some (Json.Str n)) evs in
+      (* an async job on the default worker count (the pool under
+         OLSQ2_WORKERS > 1): the finished trace must show the worker-domain
+         serve.job span stamped with the submitting connection's rid, and
+         every event must come from that domain's buffer *)
+      let rid, evs = job_trace {|{"circuit":"qaoa:4:1","device":"qx2","objective":"swaps"}|} in
+      (match named evs "serve.job" with
       | None -> Alcotest.fail "no serve.job span in trace"
       | Some e -> (
+        let tid = Json.member "tid" e in
+        checkb "every event on the worker's tid" true
+          (List.for_all (fun ev -> Json.member "tid" ev = tid) evs);
         match Json.member "attrs" e with
         | Some attrs ->
           checkb "worker span carries the connection rid" true
             (Json.member "request_id" attrs = Some (Json.Str rid))
         | None -> Alcotest.fail "serve.job span has no attrs"));
+      (* with one solver worker the solve runs on the job's domain, so
+         its trace also holds the solve's own sat.solve span *)
+      let _, evs =
+        job_trace
+          {|{"circuit":"qft:3","device":"qx2","objective":"depth",
+             "options":{"parallel":{"workers":1}}}|}
+      in
+      (match named evs "serve.job" with
+      | None -> Alcotest.fail "no serve.job span in the one-worker trace"
+      | Some e ->
+        let tid = Json.member "tid" e in
+        checkb "one-worker trace on the worker's tid" true
+          (List.for_all (fun ev -> Json.member "tid" ev = tid) evs));
+      checkb "trace holds the job's own sat.solve span" true
+        (match named evs "sat.solve" with
+        | Some e -> Json.member "type" e = Some (Json.Str "span")
+        | None -> false);
       (* /metrics: per-endpoint latency histograms + cache hit ratio *)
       let _, metrics = get port "/metrics" in
       checkb "per-endpoint latency family" true
