@@ -9,6 +9,7 @@ type t = {
   adjacency : int list array;
   edge_index : (int * int, int) Hashtbl.t;
   mutable distances : int array array option; (* lazily computed BFS matrix *)
+  mutable incident : int list array option; (* lazily computed E_p lists *)
 }
 
 let normalize_edge (p, p') = if p < p' then (p, p') else (p', p)
@@ -38,7 +39,7 @@ let make ~name ~num_qubits edge_list =
       adjacency.(p') <- p :: adjacency.(p');
       Hashtbl.add edge_index (p, p') i)
     edges;
-  { name; num_qubits; edges; adjacency; edge_index; distances = None }
+  { name; num_qubits; edges; adjacency; edge_index; distances = None; incident = None }
 
 let num_edges t = Array.length t.edges
 let edge t i = t.edges.(i)
@@ -51,11 +52,23 @@ let edge_id t p p' =
   | Some i -> i
   | None -> raise Not_found
 
-(* Edges incident to qubit [p] (the paper's E_p). *)
+(* Edges incident to qubit [p] (the paper's E_p), in ascending edge
+   order.  The lists for every vertex are built on the first call. *)
 let incident_edges t p =
-  let out = ref [] in
-  Array.iteri (fun i (a, b) -> if a = p || b = p then out := i :: !out) t.edges;
-  List.rev !out
+  let lists =
+    match t.incident with
+    | Some l -> l
+    | None ->
+      let l = Array.make t.num_qubits [] in
+      for i = Array.length t.edges - 1 downto 0 do
+        let a, b = t.edges.(i) in
+        l.(a) <- i :: l.(a);
+        l.(b) <- i :: l.(b)
+      done;
+      t.incident <- Some l;
+      l
+  in
+  lists.(p)
 
 let bfs t src =
   let dist = Array.make t.num_qubits max_int in

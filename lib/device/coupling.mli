@@ -7,6 +7,7 @@ type t = private {
   adjacency : int list array;
   edge_index : (int * int, int) Hashtbl.t;
   mutable distances : int array array option;
+  mutable incident : int list array option;
 }
 
 (** Deduplicates and normalizes edges; rejects self-loops and
@@ -21,7 +22,8 @@ val are_adjacent : t -> int -> int -> bool
 (** Edge id of a (possibly unordered) pair; raises [Not_found]. *)
 val edge_id : t -> int -> int -> int
 
-(** Edge ids incident to a qubit (the paper's E_p). *)
+(** Edge ids incident to a qubit (the paper's E_p), ascending.  The
+    lists are computed for every qubit on the first call and cached. *)
 val incident_edges : t -> int -> int list
 
 (** Single-source BFS distances. *)

@@ -55,10 +55,39 @@ let fresh t =
 (* Fresh variable that is not counted as auxiliary (problem variable). *)
 let fresh_var t = Solver.new_lit t.solver
 
-let add_clause t lits =
+let count_clause t =
   t.clauses_added <- t.clauses_added + 1;
-  incr t.current_group;
+  incr t.current_group
+
+let add_clause t lits =
+  count_clause t;
   Solver.add_clause t.solver lits
+
+(* Fixed-arity forms over the solver's clause buffer: the hot emitters
+   build no list per clause. *)
+let add2 t a b =
+  count_clause t;
+  let s = t.solver in
+  Solver.clause_push s a;
+  Solver.clause_push s b;
+  Solver.clause_commit s
+
+let add3 t a b c =
+  count_clause t;
+  let s = t.solver in
+  Solver.clause_push s a;
+  Solver.clause_push s b;
+  Solver.clause_push s c;
+  Solver.clause_commit s
+
+let add_array ?pre t lits =
+  count_clause t;
+  let s = t.solver in
+  (match pre with None -> () | Some l -> Solver.clause_push s l);
+  for i = 0 to Array.length lits - 1 do
+    Solver.clause_push s lits.(i)
+  done;
+  Solver.clause_commit s
 
 let lit_true t =
   match t.true_lit with

@@ -16,6 +16,16 @@ val fresh_var : t -> Lit.t
 
 val add_clause : t -> Lit.t list -> unit
 
+(** [add2 t a b] adds the clause [a \/ b], [add3] a three-literal clause,
+    and [add_array ?pre t lits] the clause of [pre] (when given) followed
+    by [lits].  They count like {!add_clause} but push the literals into
+    the solver's clause buffer ({!Solver.clause_push}) without building a
+    list. *)
+val add2 : t -> Lit.t -> Lit.t -> unit
+
+val add3 : t -> Lit.t -> Lit.t -> Lit.t -> unit
+val add_array : ?pre:Lit.t -> t -> Lit.t array -> unit
+
 (** Constant-true literal of this context (created lazily). *)
 val lit_true : t -> Lit.t
 

@@ -111,16 +111,16 @@ let amo_ladder ctx (xs : Lit.t array) =
   let n = Array.length xs in
   if n > 1 then begin
     let a = ref (Ctx.fresh ctx) in
-    Ctx.add_clause ctx [ Lit.negate xs.(0); !a ];
+    Ctx.add2 ctx (Lit.negate xs.(0)) !a;
     for i = 1 to n - 1 do
       if i < n - 1 then begin
         let a' = Ctx.fresh ctx in
-        Ctx.add_clause ctx [ Lit.negate xs.(i); a' ];
-        Ctx.add_clause ctx [ Lit.negate !a; a' ];
-        Ctx.add_clause ctx [ Lit.negate !a; Lit.negate xs.(i) ];
+        Ctx.add2 ctx (Lit.negate xs.(i)) a';
+        Ctx.add2 ctx (Lit.negate !a) a';
+        Ctx.add2 ctx (Lit.negate !a) (Lit.negate xs.(i));
         a := a'
       end
-      else Ctx.add_clause ctx [ Lit.negate !a; Lit.negate xs.(i) ]
+      else Ctx.add2 ctx (Lit.negate !a) (Lit.negate xs.(i))
     done
   end
 
@@ -145,7 +145,7 @@ let emit_mapping_step t tm =
   let step = Array.init t.nq (fun _ -> Array.init t.np (fun _ -> Ctx.fresh_var t.ctx)) in
   t.pi.(tm) <- step;
   for q = 0 to t.nq - 1 do
-    Ctx.add_clause t.ctx (Array.to_list step.(q));
+    Ctx.add_array t.ctx step.(q);
     amo_ladder t.ctx step.(q)
   done;
   Ctx.set_provenance t.ctx "injectivity";
@@ -161,18 +161,18 @@ let emit_gate_step t tm =
     let pl = Ctx.fresh_var t.ctx in
     t.x.(g).(tm) <- xl;
     t.xpre.(g).(tm) <- pl;
-    Ctx.add_clause t.ctx [ Lit.negate xl; pl ];
+    Ctx.add2 t.ctx (Lit.negate xl) pl;
     if tm > 0 then begin
-      Ctx.add_clause t.ctx [ Lit.negate t.xpre.(g).(tm - 1); pl ];
+      Ctx.add2 t.ctx (Lit.negate t.xpre.(g).(tm - 1)) pl;
       (* at-most-one execution step *)
-      Ctx.add_clause t.ctx [ Lit.negate t.xpre.(g).(tm - 1); Lit.negate xl ]
+      Ctx.add2 t.ctx (Lit.negate t.xpre.(g).(tm - 1)) (Lit.negate xl)
     end
   done;
   Ctx.set_provenance t.ctx "dependencies";
   List.iter
     (fun (g, g') ->
       if tm = 0 then Ctx.add_clause t.ctx [ Lit.negate t.x.(g').(0) ]
-      else Ctx.add_clause t.ctx [ Lit.negate t.x.(g').(tm); t.xpre.(g).(tm - 1) ])
+      else Ctx.add2 t.ctx (Lit.negate t.x.(g').(tm)) t.xpre.(g).(tm - 1))
     t.deps
 
 (* Eq. 1 at step tm: a two-qubit gate executing at tm puts its operands
@@ -206,6 +206,12 @@ let emit_adjacency_step t tm =
       end)
     t.circuit.Circuit.gates
 
+(* The two overlap clauses of program qubit [q] for a gate [xl] and a
+   SWAP [sl] on edge (pa, pb) finishing at [tm]. *)
+let emit_overlap t tm xl sl pa pb q =
+  Ctx.add3 t.ctx (Lit.negate xl) (Lit.negate t.pi.(tm).(q).(pa)) (Lit.negate sl);
+  Ctx.add3 t.ctx (Lit.negate xl) (Lit.negate t.pi.(tm).(q).(pb)) (Lit.negate sl)
+
 (* New SWAP slot (e, tm): gate/SWAP overlap (Eq. 2/3: the SWAP occupies
    (tm - sd, tm]; a gate scheduled in the window may not touch either
    endpoint, membership evaluated at the finish step tm, exactly as the
@@ -226,13 +232,11 @@ let emit_sigma_slot t tm =
       Array.iter
         (fun (g : Gate.t) ->
           let xl = t.x.(g.Gate.id).(t') in
-          List.iter
-            (fun q ->
-              Ctx.add_clause t.ctx
-                [ Lit.negate xl; Lit.negate t.pi.(tm).(q).(pa); Lit.negate sl ];
-              Ctx.add_clause t.ctx
-                [ Lit.negate xl; Lit.negate t.pi.(tm).(q).(pb); Lit.negate sl ])
-            (Gate.qubits g))
+          match g.Gate.operands with
+          | Gate.One q -> emit_overlap t tm xl sl pa pb q
+          | Gate.Two (q, q') ->
+            emit_overlap t tm xl sl pa pb q;
+            emit_overlap t tm xl sl pa pb q')
         t.circuit.Circuit.gates
     done
   done;
@@ -251,7 +255,7 @@ let emit_sigma_slot t tm =
           | Some sl' ->
             let pc, pd = Coupling.edge t.device e' in
             if pc = pa || pc = pb || pd = pa || pd = pb then
-              Ctx.add_clause t.ctx [ Lit.negate sl; Lit.negate sl' ]
+              Ctx.add2 t.ctx (Lit.negate sl) (Lit.negate sl')
       done
     done
   done;
@@ -259,7 +263,7 @@ let emit_sigma_slot t tm =
   Hashtbl.iter
     (fun d sel ->
       if tm >= d then
-        Array.iter (fun sl -> Ctx.add_clause t.ctx [ Lit.negate sel; Lit.negate sl ]) fresh)
+        Array.iter (fun sl -> Ctx.add2 t.ctx (Lit.negate sel) (Lit.negate sl)) fresh)
     t.selectors;
   Array.iter (fun sl -> Solver.suggest_phase s (Lit.var sl) false) fresh;
   (* the persistent cardinality chain absorbs the new slots *)
@@ -281,25 +285,32 @@ let emit_sigma_slot t tm =
    its physical qubit, or stays put when there is none. *)
 let emit_transition t tm =
   Ctx.set_provenance t.ctx "transitions";
+  (* per physical qubit p: the SWAPs finishing on p at tm, in incident-
+     edge order, each with the qubit it moves p's occupant to *)
+  let moves =
+    Array.init t.np (fun p ->
+        Coupling.incident_edges t.device p
+        |> List.filter_map (fun e ->
+               match t.sigma.(e).(tm) with
+               | None -> None
+               | Some sl ->
+                 let a, b = Coupling.edge t.device e in
+                 Some (sl, if a = p then b else a))
+        |> Array.of_list)
+  in
+  (* the stay-put clause's tail: those SWAPs, then a slot for the target *)
+  let stay = Array.map (fun mv -> Array.append (Array.map fst mv) [| Lit.undef |]) moves in
   for q = 0 to t.nq - 1 do
     for p = 0 to t.np - 1 do
       let here = t.pi.(tm).(q).(p) in
-      let incident = Coupling.incident_edges t.device p in
-      let swaps_here =
-        List.filter_map (fun e -> t.sigma.(e).(tm)) incident
-      in
-      Ctx.add_clause t.ctx
-        ((Lit.negate here :: swaps_here) @ [ t.pi.(tm + 1).(q).(p) ]);
-      List.iter
-        (fun e ->
-          match t.sigma.(e).(tm) with
-          | None -> ()
-          | Some sl ->
-            let a, b = Coupling.edge t.device e in
-            let other = if a = p then b else a in
-            Ctx.add_clause t.ctx
-              [ Lit.negate sl; Lit.negate here; t.pi.(tm + 1).(q).(other) ])
-        incident
+      let row = stay.(p) in
+      row.(Array.length row - 1) <- t.pi.(tm + 1).(q).(p);
+      Ctx.add_array t.ctx ~pre:(Lit.negate here) row;
+      let mv = moves.(p) in
+      for k = 0 to Array.length mv - 1 do
+        let sl, other = mv.(k) in
+        Ctx.add3 t.ctx (Lit.negate sl) (Lit.negate here) t.pi.(tm + 1).(q).(other)
+      done
     done
   done
 
@@ -346,8 +357,69 @@ let apply_branching_hints t ~from_step =
       (fun row -> Array.iter (fun l -> Solver.boost_activity s (Lit.var l) (float_of_int (4 * depth))) row)
       t.pi.(0)
 
+(* An upper bound on the arena words [grow t new_t_max] adds (a clause
+   takes 3 header words plus its literals; root simplification only
+   removes words), term by term after the emitters above.  With the
+   arena sized to it once, a horizon is not copied through every
+   doubling on the way. *)
+let clause_words t ~old ~new_t_max =
+  let sd = t.swap_duration in
+  let ng2 =
+    Array.fold_left (fun n g -> if Gate.is_two_qubit g then n + 1 else n) 0 t.circuit.Circuit.gates
+  in
+  let sum_deg_sq = ref 0 in
+  for p = 0 to t.np - 1 do
+    let d = List.length (Coupling.neighbors t.device p) in
+    sum_deg_sq := !sum_deg_sq + (d * d)
+  done;
+  (* one-hot rows; two ladders of fewer than 3n binary clauses per qubit
+     pair; chains and dependencies; adjacency (degrees sum to 2 ne) *)
+  let step =
+    (t.nq * (3 + t.np))
+    + (30 * t.nq * t.np)
+    + (5 * ((3 * t.ng) + List.length t.deps))
+    + (ng2 * ((5 * t.np) + (2 * t.ne)))
+  in
+  (* the counter's rows for a slot's inputs: a binary and a ternary
+     clause per column *)
+  let counter_words =
+    match t.counter with
+    | None -> 0
+    | Some (kind, c) ->
+      let inputs =
+        match kind with
+        | Swaps -> t.ne
+        | Weighted w ->
+          let n = ref 0 in
+          for e = 0 to t.ne - 1 do
+            n := !n + max 0 (w e)
+          done;
+          !n
+      in
+      inputs * (5 + (11 * Cardinality.Inc.width c))
+  in
+  (* gate/SWAP overlap over sd steps, SWAP/SWAP overlap on shared
+     endpoints, the existing depth selectors' guards, the counter *)
+  let slot =
+    (12 * t.ne * sd * (t.ng + ng2))
+    + (5 * sd * !sum_deg_sq)
+    + (5 * t.ne * Hashtbl.length t.selectors)
+    + counter_words
+  in
+  (* stay-put and move clauses *)
+  let transition = t.nq * ((5 * t.np) + (2 * t.ne) + (12 * t.ne)) in
+  (* slots and transitions run from [lo] to new_t_max - 2, as in [grow];
+     then the activation clauses and the retired literal's unit *)
+  let count lo = max 0 (new_t_max - 1 - lo) in
+  ((new_t_max - old) * step)
+  + (count (max sd (old - 1)) * slot)
+  + (count (max 0 (old - 1)) * transition)
+  + (t.ng * (4 + new_t_max))
+  + 4
+
 let grow t new_t_max =
   let old = t.t_max in
+  Solver.reserve_arena (solver t) (clause_words t ~old ~new_t_max);
   (* grow the variable tables first: emitters index them freely (the
      placeholder literal is overwritten by [emit_gate_step] before any
      clause references it) *)
@@ -479,11 +551,10 @@ let depth_selector t d =
     Ctx.set_provenance t.ctx "objective.depth";
     let l = Ctx.fresh_var t.ctx in
     for g = 0 to t.ng - 1 do
-      Ctx.add_clause t.ctx [ Lit.negate l; t.xpre.(g).(d - 1) ]
+      Ctx.add2 t.ctx (Lit.negate l) t.xpre.(g).(d - 1)
     done;
     List.iter
-      (fun (_, tm, sl) ->
-        if tm >= d then Ctx.add_clause t.ctx [ Lit.negate l; Lit.negate sl ])
+      (fun (_, tm, sl) -> if tm >= d then Ctx.add2 t.ctx (Lit.negate l) (Lit.negate sl))
       (sigma_lits t);
     Hashtbl.replace t.selectors d l;
     l

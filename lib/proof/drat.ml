@@ -25,17 +25,19 @@ let create () =
     deletions_ = 0;
   }
 
+(* The solver never writes to an array after handing it to a hook
+   ([Solver.proof_logger]), so the sink keeps them as they come. *)
 let logger sink =
   {
     Solver.on_original = (fun lits -> Vec.push sink.formula_ lits);
     Solver.on_learnt =
       (fun lits ->
         sink.additions_ <- sink.additions_ + 1;
-        Vec.push sink.steps_ (Add (Array.copy lits)));
+        Vec.push sink.steps_ (Add lits));
     Solver.on_delete =
       (fun lits ->
         sink.deletions_ <- sink.deletions_ + 1;
-        Vec.push sink.steps_ (Delete (Array.copy lits)));
+        Vec.push sink.steps_ (Delete lits));
   }
 
 let attach sink s =

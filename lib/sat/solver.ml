@@ -47,7 +47,14 @@ let result_to_string = function
    reverse unit propagation (learnt clauses, the empty clause on level-0
    UNSAT, and the final assumption-core lemma); [on_delete] for clauses
    dropped by [reduce_db].  When no logger is installed every hook site is
-   a single [match] on [None]. *)
+   a single [match] on [None].
+
+   Ownership: every array handed to a hook is allocated for proof logging
+   and belongs to no solver structure (arena, buffers, learnt vectors),
+   and the solver never writes to it after the call.  A hook may keep it
+   without copying.  The same array can reach two hooks: a clause that
+   root simplification drops or shrinks is passed to [on_original] and
+   then to [on_delete]. *)
 type proof_logger = {
   on_original : Lit.t array -> unit;
   on_learnt : Lit.t array -> unit;
@@ -249,6 +256,16 @@ type t = {
   mutable tuning : Tuning.t;
   mutable lit_marks : int array; (* per-literal timestamps for clause dedup *)
   mutable mark_stamp : int;
+  (* clause intake: [clause_push] appends raw literals to [cbuf];
+     [clause_commit] writes the survivors of root simplification to
+     [cout] and copies them into the arena.  Both grow on demand. *)
+  mutable cbuf : int array;
+  mutable cbuf_len : int;
+  mutable cout : int array;
+  (* [analyze] scratch, cleared per conflict *)
+  an_learnt : Lit.t Vec.t;
+  an_kept : Lit.t Vec.t;
+  an_clear : int Vec.t;
   (* status *)
   mutable nvars : int;
   mutable ok : bool; (* false once UNSAT at level 0 *)
@@ -309,6 +326,12 @@ let create ?tuning () =
     tuning;
     lit_marks = [||];
     mark_stamp = 0;
+    cbuf = [||];
+    cbuf_len = 0;
+    cout = [||];
+    an_learnt = Vec.create Lit.undef;
+    an_kept = Vec.create Lit.undef;
+    an_clear = Vec.create 0;
     nvars = 0;
     ok = true;
     model = [||];
@@ -386,25 +409,40 @@ let c_mark_deleted t c =
     t.arena_wasted <- t.arena_wasted + 3 + c_size t c
   end
 
-let alloc t ~learnt ~lbd lits =
-  let size = Array.length lits in
+let resize_arena t cap =
+  let a = Array.make cap 0 in
+  Array.blit t.arena 0 a 0 t.arena_top;
+  t.arena <- a
+
+(* Reserve a clause of [size] literals and write its header; the caller
+   fills the literal words. *)
+let alloc_header t ~learnt ~lbd size =
   let need = t.arena_top + 3 + size in
-  if need > Array.length t.arena then begin
-    let cap = max need (2 * Array.length t.arena) in
-    let a = Array.make cap 0 in
-    Array.blit t.arena 0 a 0 t.arena_top;
-    t.arena <- a
-  end;
+  if need > Array.length t.arena then resize_arena t (max need (2 * Array.length t.arena));
   let c = t.arena_top in
   t.arena_top <- need;
   if need > t.arena_hw then t.arena_hw <- need;
   t.arena.(c) <- size;
   t.arena.(c + 1) <- (if learnt then 1 else 0) lor (lbd lsl 3);
   t.arena.(c + 2) <- 0;
+  c
+
+let alloc t ~learnt ~lbd lits =
+  let size = Array.length lits in
+  let c = alloc_header t ~learnt ~lbd size in
   for i = 0 to size - 1 do
     t.arena.(c + 3 + i) <- Lit.to_int lits.(i)
   done;
   c
+
+(* Make room for [words] more arena words in one allocation, so a caller
+   about to add many clauses spares the arena its doubling copies. *)
+let reserve_arena t words =
+  let need = t.arena_top + words in
+  if need > Array.length t.arena then resize_arena t need
+
+(* The first [n] raw literals of [buf] as a fresh array (proof hooks). *)
+let lits_of_buf buf n = Array.init n (fun i -> Lit.of_int buf.(i))
 
 (* ---- variable management ---- *)
 
@@ -514,20 +552,20 @@ let watch_clause t c =
   wpush t (l0 lxor 1) l1 c;
   wpush t (l1 lxor 1) l0 c
 
+(* Remove the watcher of clause [c] from [data], the [n]-word watcher
+   array of literal index [li], scanning from pair [i]. *)
+let rec unwatch_from t li data n c i =
+  if i >= n then ()
+  else if data.(i + 1) = c then begin
+    data.(i) <- data.(n - 2);
+    data.(i + 1) <- data.(n - 1);
+    t.watch_len.(li) <- n - 2
+  end
+  else unwatch_from t li data n c (i + 2)
+
 let unwatch_lit t c l =
   let li = Lit.to_int (Lit.negate l) in
-  let data = t.watch_data.(li) in
-  let n = t.watch_len.(li) in
-  let rec find i =
-    if i >= n then ()
-    else if data.(i + 1) = c then begin
-      data.(i) <- data.(n - 2);
-      data.(i + 1) <- data.(n - 1);
-      t.watch_len.(li) <- n - 2
-    end
-    else find (i + 2)
-  in
-  find 0
+  unwatch_from t li t.watch_data.(li) t.watch_len.(li) c 0
 
 let unwatch_clause t c =
   unwatch_lit t c (c_lit t c 0);
@@ -554,6 +592,13 @@ let cancel_until t lvl =
 (* ---- propagation ---- *)
 
 exception Conflict_at of int
+
+(* Index of the first literal at or after position [k] of the clause
+   whose literals start at arena word [base] that is not false, or -1. *)
+let rec first_non_false t base size k =
+  if k >= size then -1
+  else if litv t (Array.unsafe_get t.arena (base + k)) <> -1 then k
+  else first_non_false t base size (k + 1)
 
 (* Propagate all enqueued facts.  Returns the conflicting cref, or
    [null_cref] if no conflict.  The watcher list of the literal being
@@ -601,14 +646,8 @@ let propagate t =
               end
               else begin
                 (* look for a new literal to watch *)
-                let size = Array.unsafe_get t.arena c in
                 let base = c + 3 in
-                let rec find k =
-                  if k >= size then -1
-                  else if litv t (Array.unsafe_get t.arena (base + k)) <> -1 then k
-                  else find (k + 1)
-                in
-                let k = find 2 in
+                let k = first_non_false t base (Array.unsafe_get t.arena c) 2 in
                 if k >= 0 then begin
                   (* move watch to lit k *)
                   let lnew = Array.unsafe_get t.arena (base + k) in
@@ -664,14 +703,16 @@ let lit_redundant t l =
 (* First-UIP learning.  Returns (learnt lits with UIP first, backtrack
    level, lbd). *)
 let analyze t confl =
-  let learnt = Vec.create Lit.undef in
+  let learnt = t.an_learnt in
+  Vec.clear learnt;
   Vec.push learnt Lit.undef;
   (* slot for the asserting literal *)
   let path_count = ref 0 in
   let p = ref Lit.undef in
   let index = ref (Vec.length t.trail - 1) in
   let confl = ref confl in
-  let to_clear = Vec.create 0 in
+  let to_clear = t.an_clear in
+  Vec.clear to_clear;
   let continue_loop = ref true in
   while !continue_loop do
     let c = !confl in
@@ -702,7 +743,8 @@ let analyze t confl =
   done;
   Vec.set learnt 0 (Lit.negate !p);
   (* minimization: drop redundant non-UIP literals *)
-  let kept = Vec.create Lit.undef in
+  let kept = t.an_kept in
+  Vec.clear kept;
   Vec.push kept (Vec.get learnt 0);
   for i = 1 to Vec.length learnt - 1 do
     let l = Vec.get learnt i in
@@ -728,16 +770,17 @@ let analyze t confl =
   t.mark_gen <- t.mark_gen + 1;
   let gen = t.mark_gen in
   let lbd = ref 0 in
-  Vec.iter
-    (fun l ->
-      let lv = t.level.(Lit.var l) in
-      if lv >= 0 && lv < Array.length t.level_mark && t.level_mark.(lv) <> gen then begin
-        t.level_mark.(lv) <- gen;
-        incr lbd
-      end)
-    learnt;
+  for i = 0 to Vec.length learnt - 1 do
+    let lv = t.level.(Lit.var (Vec.get learnt i)) in
+    if lv >= 0 && lv < Array.length t.level_mark && t.level_mark.(lv) <> gen then begin
+      t.level_mark.(lv) <- gen;
+      incr lbd
+    end
+  done;
   (* clear seen *)
-  Vec.iter (fun v -> t.seen.(v) <- false) to_clear;
+  for i = 0 to Vec.length to_clear - 1 do
+    t.seen.(Vec.get to_clear i) <- false
+  done;
   (Vec.to_array learnt, btlevel, !lbd)
 
 (* Compute the subset of assumptions responsible for a conflict (final
@@ -831,83 +874,113 @@ let compact t = if not t.in_simplify then garbage_collect t
 
 (* ---- clause addition ---- *)
 
-exception Trivial_clause
+(* One clause intake for every caller: push its literals, then commit.
+   [clause_commit] simplifies at level 0 without building a list or an
+   intermediate array: it drops root-false literals, dedups through the
+   per-literal [lit_marks] stamps (this runs once per clause of every
+   encoding build, so it is the encoder's hot path into the solver),
+   detects root-true and tautological clauses, and copies the survivors
+   from [cout] straight into the arena.  A clause begun with
+   [clause_push] must be committed before the solver is used otherwise. *)
+let clause_push t l =
+  let n = t.cbuf_len in
+  if n = Array.length t.cbuf then begin
+    let b = Array.make (max 16 (2 * n)) 0 in
+    Array.blit t.cbuf 0 b 0 n;
+    t.cbuf <- b
+  end;
+  Array.unsafe_set t.cbuf n (Lit.to_int l);
+  t.cbuf_len <- n + 1
 
-(* Simplify at level 0: drop false literals, dedupe, detect tautologies. *)
-let simplify_new_clause t lits =
-  (* Duplicate/tautology detection via per-literal timestamps, not a
-     per-call hashtable: this runs once per clause of every encoding
-     build, so it is the encoder's hot path into the solver. *)
+(* Level-0 simplification of the [n] pushed literals into [cout]: the
+   number of survivors, or -1 when the clause is root-true or a
+   tautology. *)
+let simplify_pushed t n =
   if Array.length t.lit_marks < 2 * t.nvars then begin
     let m = Array.make (max 64 (4 * t.nvars)) 0 in
     Array.blit t.lit_marks 0 m 0 (Array.length t.lit_marks);
     t.lit_marks <- m
   end;
+  if Array.length t.cout < n then t.cout <- Array.make (Array.length t.cbuf) 0;
   t.mark_stamp <- t.mark_stamp + 1;
   let stamp = t.mark_stamp in
-  let marks = t.lit_marks in
-  let out = ref [] in
-  let examine l =
-    match lit_value t l with
-    | 1 when t.level.(Lit.var l) = 0 -> raise Trivial_clause (* satisfied at root *)
-    | -1 when t.level.(Lit.var l) = 0 -> () (* false at root: drop *)
+  let marks = t.lit_marks and buf = t.cbuf and out = t.cout in
+  let k = ref 0 and i = ref 0 in
+  while !i < n do
+    let li = Array.unsafe_get buf !i in
+    (* after [cancel_until t 0] every assigned variable is a root unit *)
+    match litv t li with
+    | 1 ->
+      (* satisfied at root *)
+      k := -1;
+      i := n
+    | -1 -> incr i (* false at root: drop *)
     | _ ->
-      if marks.(Lit.to_int (Lit.negate l)) = stamp then raise Trivial_clause (* tautology *)
-      else if marks.(Lit.to_int l) <> stamp then begin
-        marks.(Lit.to_int l) <- stamp;
-        out := l :: !out
+      if marks.(li lxor 1) = stamp then begin
+        (* tautology *)
+        k := -1;
+        i := n
       end
-  in
-  List.iter examine lits;
-  List.rev !out
+      else begin
+        if marks.(li) <> stamp then begin
+          marks.(li) <- stamp;
+          Array.unsafe_set out !k li;
+          incr k
+        end;
+        incr i
+      end
+  done;
+  !k
 
-let add_clause t lits =
+let clause_commit t =
+  let n = t.cbuf_len in
+  t.cbuf_len <- 0;
   (* The simplifier rewrote the database without eliminated variables, so
      new constraints must mention only live ones (callers freeze whatever
      they keep building on). *)
   if t.extension != [] then
-    List.iter
-      (fun l ->
-        let v = Lit.var l in
-        if v < t.nvars && t.eliminated.(v) then
-          invalid_arg "Solver.add_clause: literal over an eliminated variable")
-      lits;
+    for i = 0 to n - 1 do
+      let v = t.cbuf.(i) lsr 1 in
+      if v < t.nvars && t.eliminated.(v) then
+        invalid_arg "Solver.add_clause: literal over an eliminated variable"
+    done;
   (* Log the clause as asserted (pre-simplification): the checker replays
      root-level simplification itself via unit propagation, so the proof's
      premise set must match the caller's formula, not our reduced one. *)
-  (match t.proof with
-  | None -> ()
-  | Some p -> p.on_original (Array.of_list lits));
+  let original =
+    match t.proof with
+    | None -> [||]
+    | Some p ->
+      let lits = lits_of_buf t.cbuf n in
+      p.on_original lits;
+      lits
+  in
   if t.ok then begin
     cancel_until t 0;
-    match simplify_new_clause t lits with
-    | exception Trivial_clause ->
+    let k = simplify_pushed t n in
+    if k < 0 then
       (* Root-satisfied or tautological: the clause never enters the
          database, so a deletion line keeps the proof deletion-exact. *)
-      (match t.proof with None -> () | Some p -> p.on_delete (Array.of_list lits))
-    | simplified ->
+      log_delete t original
+    else begin
       (* When root simplification shrank the clause, the database holds
-         [simplified], not [lits]: log the reduced clause as a RUP addition
-         (original plus root units propagate to it) and delete the original
-         so the checker's clause set tracks ours.  The empty case is logged
-         by the branches below. *)
+         the survivors, not the original: log the reduced clause as a RUP
+         addition (original plus root units propagate to it) and delete
+         the original so the checker's clause set tracks ours.  The
+         survivors are a subsequence of the original, so they differ
+         exactly when they are fewer.  The empty case is logged below. *)
       (match t.proof with
-      | Some p when simplified <> [] ->
-        let changed =
-          List.compare_lengths simplified lits <> 0
-          || not (List.for_all2 (fun a b -> a = b) simplified lits)
-        in
-        if changed then begin
-          p.on_learnt (Array.of_list simplified);
-          p.on_delete (Array.of_list lits)
-        end
+      | Some p when k > 0 && k < n ->
+        p.on_learnt (lits_of_buf t.cout k);
+        p.on_delete original
       | Some _ | None -> ());
-      (match simplified with
-      | [] ->
+      if k = 0 then begin
         t.ok <- false;
         log_learnt t [||]
-      | [ l ] -> begin
+      end
+      else if k = 1 then begin
         (* unit clause: assert at level 0 *)
+        let l = Lit.of_int t.cout.(0) in
         match lit_value t l with
         | 1 -> ()
         | -1 ->
@@ -920,13 +993,22 @@ let add_clause t lits =
             log_learnt t [||]
           end
       end
-      | lits ->
-        let c = alloc t ~learnt:false ~lbd:0 (Array.of_list lits) in
+      else begin
+        let c = alloc_header t ~learnt:false ~lbd:0 k in
+        Array.blit t.cout 0 t.arena (c + 3) k;
         Vec.push t.clauses c;
-        watch_clause t c)
+        watch_clause t c
+      end
+    end
   end
 
-let add_clause_a t lits = add_clause t (Array.to_list lits)
+let add_clause t lits =
+  List.iter (fun l -> clause_push t l) lits;
+  clause_commit t
+
+let add_clause_a t lits =
+  Array.iter (fun l -> clause_push t l) lits;
+  clause_commit t
 
 (* ---- learnt clause database reduction ---- *)
 

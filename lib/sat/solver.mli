@@ -31,7 +31,13 @@ val result_to_string : result -> string
     database becomes root-level unsatisfiable, and the negated assumption
     core when [solve] fails under assumptions; [on_delete] fires for every
     learnt clause discarded by database reduction.  With no logger
-    installed each hook site costs one branch on [None]. *)
+    installed each hook site costs one branch on [None].
+
+    Every array handed to a hook is allocated for the hook, shared with no
+    solver structure, and never written by the solver after the call, so a
+    hook may keep it without copying.  A clause that root simplification
+    drops or shrinks passes the same array to [on_original] and
+    [on_delete]. *)
 type proof_logger = {
   on_original : Lit.t array -> unit;
   on_learnt : Lit.t array -> unit;
@@ -146,8 +152,24 @@ val new_lit : t -> Lit.t
 
 val nvars : t -> int
 
-(** Add a clause (disjunction of literals).  May be called between
-    [solve] calls; the solver backtracks to the root level first. *)
+(** The clause intake: [clause_push t l] appends [l] to the clause being
+    built in a solver-owned buffer, and [clause_commit t] adds that clause
+    (a disjunction of the pushed literals, possibly empty) and empties the
+    buffer.  Commit simplifies at the root level and copies the survivors
+    straight into the clause arena, building no list or intermediate
+    array.  May be called between [solve] calls; the solver backtracks to
+    the root level first.  Push every literal of a clause, then commit it,
+    before any other call on the solver. *)
+val clause_push : t -> Lit.t -> unit
+
+val clause_commit : t -> unit
+
+(** [reserve_arena t words] grows the clause arena, in one allocation,
+    so that clauses of [words] more words fit (3 per clause plus one per
+    literal).  Beyond that the arena doubles as usual. *)
+val reserve_arena : t -> int -> unit
+
+(** [add_clause t lits] pushes [lits] and commits them. *)
 val add_clause : t -> Lit.t list -> unit
 
 val add_clause_a : t -> Lit.t array -> unit

@@ -36,7 +36,21 @@ let test_incident_edges () =
     (fun e ->
       let p, p' = Coupling.edge c e in
       if p <> 2 && p' <> 2 then Alcotest.fail "incident edge does not touch qubit")
-    (Coupling.incident_edges c 2)
+    (Coupling.incident_edges c 2);
+  (* the cached lists are exactly the edges touching each qubit, ascending *)
+  List.iter
+    (fun c ->
+      for p = 0 to c.Coupling.num_qubits - 1 do
+        let scan =
+          List.filter
+            (fun e ->
+              let a, b = Coupling.edge c e in
+              a = p || b = p)
+            (List.init (Coupling.num_edges c) Fun.id)
+        in
+        Alcotest.(check (list int)) "incident edges of a qubit" scan (Coupling.incident_edges c p)
+      done)
+    [ c; Devices.eagle127; Devices.grid 3 4 ]
 
 let test_distances_line () =
   let c = Devices.line 5 in

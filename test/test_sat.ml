@@ -344,6 +344,99 @@ let test_compaction_after_learning () =
     "high-water covers current arena" true
     (S.arena_high_water_bytes s >= S.arena_bytes s)
 
+(* ---- the clause intake ---- *)
+
+module Ctx = Olsq2_encode.Ctx
+module Drat = Olsq2_proof.Drat
+
+(* A random clause stream over [nv] variables: short clauses over few
+   variables, so duplicates and tautologies are common, units make later
+   literals root-true or root-false, and the empty clause occurs. *)
+let clause_stream_gen =
+  QCheck.Gen.(
+    int_range 1 5 >>= fun nv ->
+    let lit = map2 (fun v sign -> L.of_var ~sign v) (int_bound (nv - 1)) bool in
+    let clause = frequency [ (1, return []); (4, list_size (int_range 1 2) lit); (12, list_size (int_range 2 5) lit) ] in
+    pair (return nv) (list_size (int_range 0 25) (pair bool clause)))
+
+let print_stream (nv, cls) =
+  Printf.sprintf "nv=%d %s" nv
+    (String.concat " "
+       (List.map
+          (fun (_, c) -> "[" ^ String.concat "," (List.map (fun l -> string_of_int (L.to_dimacs l)) c) ^ "]")
+          cls))
+
+(* Feed the stream through [Solver.add_clause] on one solver and through
+   [Ctx.add2]/[add3]/[add_array] on a twin; the flag picks [add_array]'s
+   [?pre] form.  Both must then hold the same problem clauses, root
+   units, status and DRAT log. *)
+let intake_twins ~proof (nv, cls) =
+  let sink_a = Drat.create () and sink_b = Drat.create () in
+  let a = S.create () and ctx = Ctx.create () in
+  let b = Ctx.solver ctx in
+  if proof then begin
+    Drat.attach sink_a a;
+    Drat.attach sink_b b
+  end;
+  for _ = 1 to nv do
+    ignore (S.new_var a);
+    ignore (Ctx.fresh_var ctx)
+  done;
+  List.iter
+    (fun (use_pre, c) ->
+      S.add_clause a c;
+      match c with
+      | [ x; y ] -> Ctx.add2 ctx x y
+      | [ x; y; z ] -> Ctx.add3 ctx x y z
+      | x :: rest when use_pre -> Ctx.add_array ctx ~pre:x (Array.of_list rest)
+      | _ -> Ctx.add_array ctx (Array.of_list c))
+    cls;
+  let held s sink =
+    ( S.fold_problem_clauses s (fun acc c -> c :: acc) [],
+      S.root_units s,
+      S.is_ok s,
+      Drat.formula sink,
+      Drat.steps sink )
+  in
+  let ha = held a sink_a and hb = held b sink_b in
+  (* the held clauses must also mean the stream: same verdict as brute force *)
+  let verdict_ok = (S.solve a = S.Sat) = brute_force_sat nv (List.map snd cls) in
+  ha = hb && Ctx.clauses_added ctx = List.length cls && verdict_ok
+
+let qcheck_intake_twins =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:400 ~name:"list wrapper and Ctx helpers commit the same clauses"
+       (QCheck.make ~print:print_stream clause_stream_gen)
+       (fun stream -> intake_twins ~proof:false stream && intake_twins ~proof:true stream))
+
+(* The buffer intake allocates nothing per clause: 10k three-literal
+   clauses through [Ctx.add3] take under 2 minor words each (built as
+   lists and passed to [Ctx.add_clause], they take 13).  A first 10k clauses over 20 variables grow every
+   watcher array past the minor heap's size limit, so the measured batch
+   sees only the intake; literals are made by arithmetic, so the loop
+   itself allocates nothing. *)
+let test_add3_allocation () =
+  let ctx = Ctx.create () in
+  let nv = 20 in
+  for _ = 1 to nv do
+    ignore (Ctx.fresh_var ctx)
+  done;
+  (* variables i, i + 17, i + 14 (mod 20): three distinct ones *)
+  let lit i k = L.of_int ((2 * ((i + (k * 197)) mod nv)) + ((i lsr k) land 1)) in
+  let n = 10_000 in
+  let batch () =
+    for i = 0 to n - 1 do
+      Ctx.add3 ctx (lit i 0) (lit i 1) (lit i 2)
+    done
+  in
+  batch ();
+  let w0 = Gc.minor_words () in
+  batch ();
+  let per_clause = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "all clauses kept" (2 * n) (S.n_clauses (Ctx.solver ctx));
+  if per_clause >= 2.0 then
+    Alcotest.failf "add3 allocated %.1f minor words per clause (bound 2)" per_clause
+
 let suite =
   [
     ( "sat",
@@ -372,5 +465,7 @@ let suite =
         Alcotest.test_case "compaction watcher integrity" `Quick
           test_compaction_watcher_integrity;
         Alcotest.test_case "compaction after learning" `Quick test_compaction_after_learning;
+        qcheck_intake_twins;
+        Alcotest.test_case "add3 allocates no list" `Quick test_add3_allocation;
       ] );
   ]
