@@ -2,10 +2,13 @@ module Stopwatch = Olsq2_util.Stopwatch
 module Solver = Olsq2_sat.Solver
 
 (* External preemption handle: a cross-domain flag plus the solvers
-   currently serving the budgeted run.  [preempt] raises the flag and
-   interrupts every attached solver, so a watchdog in another domain can
-   stop a run mid-search (the serve daemon's wall-deadline enforcement);
-   a solver attached after the fact is interrupted immediately. *)
+   solving for the budgeted run right now.  [preempt] raises the flag and
+   interrupts every registered solver, so a watchdog in another domain
+   can stop a run mid-search (the serve daemon's wall-deadline
+   enforcement); a solver registered after the fact is interrupted
+   immediately.  A solver is registered only for the length of one solve
+   call, so a control that outlives its run (a finished serve job) holds
+   no solver. *)
 type control = {
   preempted : bool Atomic.t;
   mutable attached : Solver.t list;
@@ -118,17 +121,27 @@ let exhausted st =
   || (match st.deadline with Some d -> Stopwatch.now () >= d | None -> false)
   || match conflicts_left st with Some c -> c <= 0 | None -> false
 
-let attach st solver =
+(* Drop the first occurrence of [x] (physical equality), so a solver
+   registered twice by nested calls stays registered until the outer call
+   ends. *)
+let rec remove_one x = function
+  | [] -> []
+  | y :: rest -> if y == x then rest else y :: remove_one x rest
+
+let attached st solver f =
   match st.limits.control with
-  | None -> ()
+  | None -> f ()
   | Some ctl ->
     Mutex.lock ctl.cm;
-    let known = List.memq solver ctl.attached in
-    if not known then ctl.attached <- solver :: ctl.attached;
+    ctl.attached <- solver :: ctl.attached;
     Mutex.unlock ctl.cm;
-    (* a run already past its deadline must not start fresh search on a
-       newly built solver *)
-    if Atomic.get ctl.preempted then Solver.interrupt solver
+    (* registered before the flag is read: a [preempt] racing with this
+       call either sees the solver in the list or is seen here *)
+    if Atomic.get ctl.preempted then Solver.interrupt solver;
+    Fun.protect f ~finally:(fun () ->
+        Mutex.lock ctl.cm;
+        ctl.attached <- remove_one solver ctl.attached;
+        Mutex.unlock ctl.cm)
 
 let solve_timeout st =
   let wall = match st.deadline with None -> None | Some d -> Some (d -. Stopwatch.now ()) in

@@ -18,11 +18,13 @@
     A budget may additionally carry a {!control}: an external preemption
     handle with which another domain (e.g. the serve daemon's
     wall-deadline watchdog) stops the run {e mid-search} — the engine
-    attaches every master solver it drives to the control
-    ({!attach}), and {!preempt} both flips {!exhausted} and calls
-    {!Olsq2_sat.Solver.interrupt} on each of them, so the current solve
-    call returns [Unknown Interrupted] promptly instead of running to its
-    own timeout. *)
+    registers each solver with the control for the length of a solve
+    call ({!attached}), and {!preempt} both flips {!exhausted} and calls
+    {!Olsq2_sat.Solver.interrupt} on every registered solver, so the
+    current solve call returns [Unknown Interrupted] promptly instead of
+    running to its own timeout.  Between solves the run reads the flag
+    through {!exhausted}; a control holds no solver once its run is
+    done. *)
 
 (** External preemption handle shared between the run and a watchdog. *)
 type control
@@ -30,8 +32,9 @@ type control
 (** A fresh, un-preempted control. *)
 val control : unit -> control
 
-(** Raise the preemption flag and interrupt every attached solver.
-    Safe to call from any domain, any number of times. *)
+(** Raise the preemption flag and interrupt every solver that is solving
+    under the control ({!attached}).  Safe to call from any domain, any
+    number of times. *)
 val preempt : control -> unit
 
 val preempted : control -> bool
@@ -91,11 +94,13 @@ val interrupted : state -> bool
     budget's control was preempted. *)
 val exhausted : state -> bool
 
-(** Register a solver as actively serving this budgeted run, so a later
-    {!preempt} interrupts it.  No-op without a control; a solver attached
-    after preemption is interrupted immediately.  Safe to call repeatedly
-    with the same solver. *)
-val attach : state -> Olsq2_sat.Solver.t -> unit
+(** [attached st solver f] runs [f] (a solve call on [solver]) with
+    [solver] registered with the budget's control, so a {!preempt} during
+    [f] interrupts it; the registration is removed when [f] returns or
+    raises.  A control already preempted interrupts [solver] before [f]
+    runs.  Nested calls with the same solver each add and remove one
+    registration.  Without a control this is [f ()]. *)
+val attached : state -> Olsq2_sat.Solver.t -> (unit -> 'a) -> 'a
 
 (** The [?timeout] to pass to the next solve call: the remaining wall
     allowance, further clamped by [per_bound_seconds]; [None] when

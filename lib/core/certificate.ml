@@ -289,13 +289,15 @@ let classic ~config ~budget ~mode ~proof_file instance model objective ~depth ~o
     refute objective ~optimum ~formula:(Classic config) (fun () ->
         let enc = Encoder.build ~config ~proof:(Drat.logger sink) instance ~t_max:(depth + 1) in
         let solver = Encoder.solver enc in
-        Option.iter (fun st -> Budget.attach st solver) budget;
         (match objective with
         | Swaps_at_depth _ -> Encoder.build_counter enc ~max_bound:(max optimum 1)
         | Depth -> ());
         {
           solver;
-          solve = (fun assumptions -> Encoder.solve ~assumptions ?timeout:(timeout ()) enc);
+          solve =
+            (fun assumptions ->
+              let solve () = Encoder.solve ~assumptions ?timeout:(timeout ()) enc in
+              match budget with None -> solve () | Some st -> Budget.attached st solver solve);
           depth_selector = Encoder.depth_selector enc;
           swap_bound = Encoder.swap_bound_assumption enc;
           provenance = (fun () -> Encoder.provenance enc);

@@ -207,15 +207,15 @@ let max_block_relax = 2
    [direct]; [extra] are the assumptions a raw solver call needs on top
    of the bound's. *)
 let charged_solve run solver ~pool_capable ?(extra = []) direct assumptions =
-  Budget.attach run.st solver;
   let before = (Solver.stats solver).Solver.conflicts in
   let timeout = Budget.solve_timeout run.st in
   let max_conflicts = Budget.solve_max_conflicts run.st in
   let r =
-    match run.pool with
-    | Some p when pool_capable ->
-      Pool.solve p ~assumptions:(extra @ assumptions) ?max_conflicts ?timeout solver
-    | Some _ | None -> direct ~assumptions ~max_conflicts ~timeout
+    Budget.attached run.st solver (fun () ->
+        match run.pool with
+        | Some p when pool_capable ->
+          Pool.solve p ~assumptions:(extra @ assumptions) ?max_conflicts ?timeout solver
+        | Some _ | None -> direct ~assumptions ~max_conflicts ~timeout)
   in
   Budget.charge run.st ~conflicts:((Solver.stats solver).Solver.conflicts - before);
   r

@@ -393,6 +393,12 @@ let events ?since ?tid t =
      and the stable sort keeps that order among equal (ts, tid) *)
   List.stable_sort by_time (List.fold_right walk buffers [])
 
+let dropped t =
+  Mutex.lock t.lock;
+  let d = List.fold_left (fun acc b -> acc + b.dropped) 0 t.buffers in
+  Mutex.unlock t.lock;
+  d
+
 let reset t =
   Mutex.lock t.lock;
   List.iter
@@ -467,12 +473,7 @@ let summary ?(since = 0.0) t =
           Histogram.observe h v
         | Instant -> ())
       evs;
-    let dropped =
-      Mutex.lock t.lock;
-      let d = List.fold_left (fun acc b -> acc + b.dropped) 0 t.buffers in
-      Mutex.unlock t.lock;
-      d
-    in
+    let dropped = dropped t in
     let sorted_assoc tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
     {
       span_stats =

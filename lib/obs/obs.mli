@@ -154,6 +154,10 @@ val hist : t -> string -> float -> unit
     buffers are walked, so only the kept events are copied and sorted. *)
 val events : ?since:float -> ?tid:int -> t -> event list
 
+(** Events refused because their domain's buffer was full, summed over
+    every domain; reads the per-buffer counts, not the events. *)
+val dropped : t -> int
+
 (** Drop all recorded events (buffers stay registered). *)
 val reset : t -> unit
 

@@ -9,7 +9,10 @@
      their job finishes.
    - [pool_workers] persistent {!Olsq2_parallel.Taskpool} domains run the
      actual synthesis jobs, FIFO.  Each job's budget carries a
-     {!Olsq2_core.Budget.control} preemption handle.
+     {!Olsq2_core.Budget.control} preemption handle, which holds a solver
+     only while that solver is solving.
+   - a finished job stays in the done registry (the last
+     [max_done_jobs]) with its status, body and trace, not its solvers.
    - one watchdog domain scans running jobs every ~20 ms and
      {!Olsq2_core.Budget.preempt}s any that outlived its wall budget by
      the grace period — interrupting the SAT solver mid-search, not just
@@ -70,6 +73,8 @@ type job = {
   rid : string;  (* request id of the connection that submitted the job *)
   mutable state : job_state;
   control : Budget.control;
+      (* the watchdog's handle on the run; the run registers a solver with
+         it only for one solve call, so a finished job holds none *)
   mutable deadline : float;  (* absolute; infinity until the run starts *)
   jm : Mutex.t;
   done_cv : Condition.t;
@@ -317,8 +322,16 @@ let submit t ~rid body =
 
 (* ---- endpoints ---- *)
 
+(* Major heap now and at its peak, in MB (10^6 bytes, as perfbench's
+   [peak_heap_mb]), from the counters the GC keeps: no heap walk. *)
+let heap_mb () =
+  let g = Gc.quick_stat () in
+  let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1e6 in
+  (mb g.Gc.heap_words, mb g.Gc.top_heap_words)
+
 let metrics_body t =
   let s = Cache.stats t.cache in
+  let heap_mb, top_heap_mb = heap_mb () in
   let series kind name v = Obs.prometheus_series ~kind name v in
   String.concat ""
     [
@@ -339,10 +352,14 @@ let metrics_body t =
       series `Gauge "serve_jobs_running" (float_of_int (Taskpool.running t.pool));
       series `Counter "serve_jobs_completed" (float_of_int (Taskpool.completed t.pool));
       series `Gauge "serve_uptime_seconds" (Unix.gettimeofday () -. t.started_at);
+      series `Gauge "serve_heap_mb" heap_mb;
+      series `Gauge "serve_top_heap_mb" top_heap_mb;
+      series `Gauge "serve_trace_dropped" (float_of_int (Obs.dropped t.obs));
     ]
 
 let stats_body t =
   let s = Cache.stats t.cache in
+  let heap_mb, top_heap_mb = heap_mb () in
   Json.to_string
     (Json.Obj
        [
@@ -369,6 +386,8 @@ let stats_body t =
                ("running", Json.Num (float_of_int (Taskpool.running t.pool)));
                ("completed", Json.Num (float_of_int (Taskpool.completed t.pool)));
              ] );
+         ("gc", Json.Obj [ ("heap_mb", Json.Num heap_mb); ("top_heap_mb", Json.Num top_heap_mb) ]);
+         ("trace", Json.Obj [ ("dropped", Json.Num (float_of_int (Obs.dropped t.obs))) ]);
        ])
 
 let job_status_body job =

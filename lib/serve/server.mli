@@ -29,9 +29,14 @@
     Requests run on a persistent worker-domain pool; each run's budget
     carries a preemption control that a watchdog domain fires (via
     {!Olsq2_core.Budget.preempt}, which interrupts the SAT solver
-    mid-search) when the wall budget is overrun.  Proven-optimal results
-    are cached under {!Canonical} keys, so isomorphic resubmissions —
-    including relabelled ones — are answered without solving. *)
+    mid-search) when the wall budget is overrun; the control holds a
+    solver only while it solves, so a finished job keeps its status,
+    body and trace and no solver.  [/stats] reports the major heap
+    ([gc.heap_mb], [gc.top_heap_mb]) and the events the tracer refused
+    once full ([trace.dropped]), and [/metrics] the same as gauges.
+    Proven-optimal results are cached under {!Canonical} keys, so
+    isomorphic resubmissions — including relabelled ones — are answered
+    without solving. *)
 
 type config = {
   host : string;

@@ -307,6 +307,61 @@ let test_preempt_mid_run () =
   (* the interrupt must cut the solve short; allow slack for this box *)
   checkb "join after preempt is prompt" true (Unix.gettimeofday () -. t0 < 30.)
 
+(* A control outlives its run (a serve job keeps it in the done
+   registry), so a finished run must leave no solver registered with it:
+   what the control reaches is its flag, its list and its mutex. *)
+let test_run_leaves_nothing_attached () =
+  let run name options objective instance =
+    let ctl = Budget.control () in
+    let options = Options.with_budget (Budget.with_control ctl (Budget.of_seconds 60.)) options in
+    let report = Synthesis.run ~options ~objective instance in
+    checkb (name ^ ": optimal") true report.Synthesis.optimal;
+    let words = Obj.reachable_words (Obj.repr ctl) in
+    if words >= 1_000 then Alcotest.failf "%s: the control still reaches %d words" name words;
+    report
+  in
+  let pinned = Options.(default |> with_workers 1 |> with_incremental true) in
+  let qft4 = Core.Instance.make (Suite.parse_spec "qft:4") Devices.qx2 in
+  ignore (run "session" pinned Synthesis.Depth qft4);
+  (* the classic oracle rebuilds its encoder as the horizon grows *)
+  ignore (run "classic oracle" (Options.with_incremental false pinned) Synthesis.Depth qft4);
+  let miss =
+    run "window miss" pinned Synthesis.Depth
+      (Core.Instance.make (Test_window.triangle_circuit ()) Test_window.star_and_triangle)
+  in
+  checkb "window missed" true
+    (match miss.Synthesis.window with Some (Synthesis.Missed _) -> true | _ -> false);
+  let symmetry =
+    { pinned with Options.config = { Core.Config.default with Core.Config.symmetry = true } }
+    |> Options.with_certify true
+  in
+  let fallback = run "certify fallback" symmetry Synthesis.Depth qft4 in
+  checkb "certified by the classic fallback" true
+    (match fallback.Synthesis.plan.Synthesis.certification with
+    | Synthesis.Classic_fallback _ -> true
+    | Synthesis.No_certificate | Synthesis.On_session -> false);
+  checkb "fallback certificate valid" true
+    (match fallback.Synthesis.certificate with Some c -> Core.Certificate.valid c | None -> false)
+
+(* Nested registrations of one solver: the inner call's exit removes its
+   own registration only, so a preempt during the outer solve still
+   reaches the solver. *)
+let test_nested_registration_preempt () =
+  let ctl = Budget.control () in
+  let st = Budget.start (Budget.with_control ctl Budget.unlimited) in
+  let solver = Test_parallel.solver_of (Test_parallel.php_clauses ~pigeons:11 ~holes:10) in
+  let worker =
+    Domain.spawn (fun () ->
+        Budget.attached st solver (fun () ->
+            Budget.attached st solver ignore;
+            Olsq2_sat.Solver.solve ~timeout:10. solver))
+  in
+  Unix.sleepf 0.3;
+  Budget.preempt ctl;
+  checkb "the outer registration interrupts the solve" true
+    (Domain.join worker = Olsq2_sat.Solver.Unknown Olsq2_sat.Solver.Interrupted);
+  checkb "nothing left registered" true (Obj.reachable_words (Obj.repr ctl) < 1_000)
+
 (* ---- end-to-end against a live in-process server ---- *)
 
 let contains haystack needle =
@@ -772,6 +827,49 @@ let test_request_tracing () =
       check Alcotest.int "request ids unique per connection" (List.length rids)
         (List.length (List.sort_uniq compare rids)))
 
+(* Finished jobs stay in the done registry with their status, body and
+   trace; they must not keep the solvers their runs built.  Fresh QUEKO
+   problems (distinct seeds, so each is a cache miss and a real solve)
+   are answered, and the live heap, measured with the jobs still
+   registered, may grow by what the cache, the jobs and the tracer keep,
+   not by a solver per job. *)
+let test_daemon_holds_no_solver () =
+  with_server ~pool:1 ~handlers:2 (fun _server port ->
+      let solve seed =
+        let status, _ =
+          post port "/synthesize"
+            (Printf.sprintf
+               {|{"circuit":"queko:5:24:%d","device":"grid-3x3","objective":"depth",
+                  "options":{"parallel":{"workers":1}}}|}
+               seed)
+        in
+        check Alcotest.int "fresh solve status" 200 status
+      in
+      let live_words () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      solve 100;
+      let before = live_words () in
+      for seed = 1 to 24 do
+        solve seed
+      done;
+      let grown_mb = float_of_int ((live_words () - before) * (Sys.word_size / 8)) /. 1e6 in
+      if grown_mb >= 4. then
+        Alcotest.failf "live heap grew %.1f MB over 24 finished jobs" grown_mb;
+      (* /stats and /metrics report the heap and the tracer's drops *)
+      let _, body = get port "/stats" in
+      let j = parse_json body in
+      let gc = member "gc" j in
+      checkb "stats heap_mb" true (as_num (member "heap_mb" gc) > 0.);
+      checkb "stats top_heap_mb" true
+        (as_num (member "top_heap_mb" gc) >= as_num (member "heap_mb" gc));
+      checkb "stats trace dropped" true (as_num (member "dropped" (member "trace" j)) >= 0.);
+      let _, metrics = get port "/metrics" in
+      List.iter
+        (fun g -> checkb ("metrics " ^ g) true (contains metrics ("olsq2_" ^ g)))
+        [ "serve_heap_mb"; "serve_top_heap_mb"; "serve_trace_dropped" ])
+
 let test_server_budget () =
   with_server ~pool:1 ~handlers:2 (fun _server port ->
       (* a tiny wall budget on a nontrivial instance: the run must come
@@ -805,10 +903,13 @@ let suite =
         Alcotest.test_case "http rejects bad content-length" `Quick test_http_bad_length;
         Alcotest.test_case "preempt before start" `Quick test_preempt_before_start;
         Alcotest.test_case "preempt mid-run" `Slow test_preempt_mid_run;
+        Alcotest.test_case "a run leaves nothing attached" `Slow test_run_leaves_nothing_attached;
+        Alcotest.test_case "nested registration preempt" `Quick test_nested_registration_preempt;
         Alcotest.test_case "end-to-end concurrent load" `Slow test_end_to_end;
         Alcotest.test_case "async jobs" `Slow test_async_jobs;
         Alcotest.test_case "certified response" `Slow test_certified_response;
         Alcotest.test_case "request tracing + obs endpoints" `Slow test_request_tracing;
         Alcotest.test_case "server honors wall budget" `Slow test_server_budget;
+        Alcotest.test_case "daemon holds no solver" `Slow test_daemon_holds_no_solver;
       ] );
   ]
