@@ -581,12 +581,6 @@ let build_weighted_counter enc ~weights ~max_bound =
   in
   build_counter_over enc lits ~max_bound
 
-(* Weighted cost of the current model. *)
-let model_weighted_cost enc ~weights =
-  List.fold_left
-    (fun acc (e, _, l) -> if Solver.model_value (solver enc) l then acc + weights e else acc)
-    0 (sigma_lits enc)
-
 (* ---- solving and extraction ---- *)
 
 (* Lazy-integer configurations route through the theory CEGAR loop; all

@@ -64,9 +64,6 @@ val swap_bound_assumption : t -> int -> Lit.t option
     {!build_counter}; bounds go through {!swap_bound_assumption}. *)
 val build_weighted_counter : t -> weights:(int -> int) -> max_bound:int -> unit
 
-(** Weighted cost of the current model under the same [weights]. *)
-val model_weighted_cost : t -> weights:(int -> int) -> int
-
 val solve : ?assumptions:Lit.t list -> ?max_conflicts:int -> ?timeout:float -> t -> Solver.result
 
 (** [true] when a raw {!Olsq2_sat.Solver.solve} on {!solver} is

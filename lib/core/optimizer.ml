@@ -5,12 +5,18 @@
 
    - Depth: start at the lower bound T_LB; on UNSAT grow the bound
      geometrically (x1.3 below 100, x1.1 above); after the first SAT,
-     descend by 1 until UNSAT.  The horizon grows with the bound.
+     descend from the model's depth to one above the largest refuted
+     bound.  The horizon grows with the bound.
    - SWAP count: start from a depth-optimal solution, then iteratively
      *descend* the SWAP bound (monotone solution structure: each SAT
      model's count seeds the next, tighter bound).  Then relax the depth
      bound and repeat, sweeping the (depth, SWAP) Pareto frontier, until
      no improvement or the time budget runs out.
+
+   No question is asked whose answer the loop already holds: every SAT
+   answer is captured as a result the moment it arrives, so a refuted or
+   unfinished query never costs the layout found before it, and no bound
+   is re-solved to read a model back.
 
    All bounds are solver assumptions over selector literals, so learnt
    clauses survive between iterations (incremental solving).  Each loop
@@ -24,6 +30,7 @@ module Stopwatch = Olsq2_util.Stopwatch
 module Obs = Olsq2_obs.Obs
 module Pool = Olsq2_parallel.Pool
 module Session = Olsq2_incremental.Session
+module Coupling = Olsq2_device.Coupling
 
 type iter_stat = {
   iter_phase : string;
@@ -175,12 +182,22 @@ type outcome = {
   refutation : Certificate.refutation option;
 }
 
+(* A returned result is stamped with the run's verdict and totals. *)
 let outcome (run : run) ?result ~optimal pareto =
+  let seconds = Stopwatch.elapsed run.clock in
+  let stamp (r : Result_.t) =
+    {
+      r with
+      Result_.status = (if optimal then Result_.Optimal else Result_.Feasible);
+      solve_seconds = seconds;
+      iterations = run.iterations;
+    }
+  in
   {
-    result;
+    result = Option.map stamp result;
     optimal;
     iterations = run.iterations;
-    total_seconds = Stopwatch.elapsed run.clock;
+    total_seconds = seconds;
     pareto;
     stats = run.agg;
     iter_stats = List.rev run.iters;
@@ -244,8 +261,6 @@ type bounds = {
   build_counter : max_bound:int -> unit;
   build_weighted_counter : weights:(int -> int) -> max_bound:int -> unit;
   swap_bound_assumption : int -> Lit.t option;
-  model_swap_count : unit -> int;
-  model_weighted_cost : weights:(int -> int) -> int;
   extract : status:Result_.status -> solve_seconds:float -> iterations:int -> Result_.t;
   provenance : unit -> (string * int) list;
 }
@@ -293,8 +308,6 @@ let session_oracle ?proof run ~config instance ~t_max =
     build_counter = Session.build_counter sess;
     build_weighted_counter = Session.build_weighted_counter sess;
     swap_bound_assumption = Session.swap_bound_assumption sess;
-    model_swap_count = (fun () -> Session.model_swap_count sess);
-    model_weighted_cost = Session.model_weighted_cost sess;
     extract;
     provenance = (fun () -> Session.provenance sess);
   }
@@ -326,40 +339,47 @@ let encoder_oracle run ~config instance ~t_max =
     build_weighted_counter =
       (fun ~weights ~max_bound -> Encoder.build_weighted_counter !enc ~weights ~max_bound);
     swap_bound_assumption = (fun k -> Encoder.swap_bound_assumption !enc k);
-    model_swap_count = (fun () -> Encoder.model_swap_count !enc);
-    model_weighted_cost = (fun ~weights -> Encoder.model_weighted_cost !enc ~weights);
     extract =
       (fun ~status ~solve_seconds ~iterations ->
         Encoder.extract ~status ~solve_seconds ~iterations !enc);
     provenance = (fun () -> Encoder.provenance !enc);
   }
 
-(* The oracle's current model as a result. *)
-let capture run o optimal =
-  let status = if optimal then Result_.Optimal else Result_.Feasible in
-  o.extract ~status ~solve_seconds:(Stopwatch.elapsed run.clock) ~iterations:run.iterations
+(* The oracle's model as a result, captured right after the SAT answer
+   that produced it.  A loop keeps the capture rather than reading the
+   solver later: a later query may end unknown, and the lazy-int arm's
+   CEGAR loop may replace the solver's model.  [outcome] stamps the
+   verdict and the run's totals. *)
+let capture o = o.extract ~status:Result_.Feasible ~solve_seconds:0.0 ~iterations:0
+
+(* Weighted SWAP cost of a result; [weights] is indexed by device edge. *)
+let weighted_cost device ~weights (r : Result_.t) =
+  List.fold_left
+    (fun acc (sw : Result_.swap) ->
+      let a, b = sw.Result_.sw_edge in
+      acc + weights (Coupling.edge_id device a b))
+    0 r.Result_.swaps
 
 (* ---- bound descent (shared by SWAP, weighted and TB loops) ---- *)
 
-(* Descend an objective bound from [start], the value of the model the
-   solver currently holds: each step assumes [assume (best - 1)] and, on
-   SAT, reads the new model's value back (monotone solution structure:
-   each model seeds the next, tighter bound).  [assume] returns [None]
-   when the bound cannot be expressed, which proves [best] optimal.  On
-   return the solver's model is the best one found.  Returns (best value,
-   proven optimal). *)
-let descend run ~phase ~solver ~solve ~assume ~value start =
+(* Descend an objective bound from [start], a model captured at its SAT
+   answer: each step assumes [assume (value best - 1)] and, on SAT,
+   captures the new model, whose value seeds the next, tighter bound
+   (monotone solution structure).  [assume] returns [None] when the bound
+   cannot be expressed, which proves [best] optimal.  Returns the capture
+   of the last SAT answer ([start] if none) and whether it is proven
+   optimal. *)
+let descend run ~phase ~solver ~solve ~assume ~capture ~value start =
   let rec go best =
-    if best = 0 then (best, true)
+    let v = value best in
+    if v = 0 then (best, true)
     else if Budget.exhausted run.st then (best, false)
     else
-      match assume (best - 1) with
+      match assume (v - 1) with
       | None -> (best, true)
       | Some assumptions -> (
-        match
-          iter_span run phase ~bound:(best - 1) ~core:(solver ()) (fun () -> solve assumptions)
-        with
-        | Solver.Sat -> go (value ())
+        match iter_span run phase ~bound:(v - 1) ~core:(solver ()) (fun () -> solve assumptions) with
+        | Solver.Sat -> go (capture ())
         | Solver.Unsat -> (best, true)
         | Solver.Unknown _ -> (best, false))
   in
@@ -371,59 +391,50 @@ let under_depth o sel k = Some (sel :: Option.to_list (o.swap_bound_assumption k
 
 (* ---- depth optimization (§III-B-1) ---- *)
 
-(* Returns, on success, the optimal (or best-within-budget) depth, whether
-   it is proven, and the result; the oracle's solver then holds that
-   model, so SWAP optimization continues on the same solver state. *)
+(* Returns, on success, the best result found and whether it is proven
+   optimal.  The ascent grows the bound until SAT and keeps the largest
+   bound it refuted, the floor (T_LB - 1 before any refutation).  The
+   descent then asks one below the depth of the last model found, which
+   is below the bound asked whenever the model is shallower, and stops
+   once that would be at or below the floor: no bound is asked twice and
+   no refuted bound is asked again.  Budget exhaustion or an unknown
+   verdict returns the last capture, unproved. *)
 let minimize_depth run o ~t_lb =
   let check d =
     o.ensure_horizon d;
     let sel = o.depth_selector d in
     iter_span run "opt.depth_iter" ~bound:d ~core:(o.solver ()) (fun () -> o.solve [ sel ])
   in
-  (* ascent: grow the bound until SAT *)
-  let rec ascend d =
+  let rec ascend floor d =
     if Budget.exhausted run.st then None
     else
       match check d with
-      | Solver.Sat -> Some d
+      | Solver.Sat -> Some (floor, capture o)
       | Solver.Unknown _ -> None
-      | Solver.Unsat -> ascend (o.next_bound d)
+      | Solver.Unsat -> ascend d (o.next_bound d)
   in
-  (* descent: tighten by 1 until UNSAT; [d] is known SAT.  The third
-     component says whether the last query was that SAT one, so the
-     solver still holds its model. *)
-  let rec descend_depth d =
-    if d - 1 < t_lb then (d, true, true)
-    else if Budget.exhausted run.st then (d, false, true)
+  let rec descend_depth floor (best : Result_.t) =
+    let d = best.Result_.depth - 1 in
+    if d <= floor then (best, true)
+    else if Budget.exhausted run.st then (best, false)
     else
-      match check (d - 1) with
-      | Solver.Sat -> descend_depth (d - 1)
-      | Solver.Unsat -> (d, true, false)
-      | Solver.Unknown _ -> (d, false, false)
-  in
-  let found d optimal =
-    let result = capture run o optimal in
-    pareto_point ~depth:d ~swaps:result.Result_.swap_count;
-    Some (d, optimal, result)
-  in
-  match ascend t_lb with
-  | None -> None
-  | Some d_first -> (
-    match descend_depth d_first with
-    | d, optimal, true -> found d optimal
-    | d, optimal, false -> (
-      (* a later query (the lazy-int arm's CEGAR loop, say) may have
-         replaced the model: re-solve at the chosen bound *)
       match check d with
-      | Solver.Sat -> found d optimal
-      | Solver.Unsat | Solver.Unknown _ ->
-        (* unreachable in practice: the same bound was SAT moments ago *)
-        None))
+      | Solver.Sat -> descend_depth floor (capture o)
+      | Solver.Unsat -> (best, true)
+      | Solver.Unknown _ -> (best, false)
+  in
+  Option.map
+    (fun (floor, first) ->
+      let ((best, _) as found) = descend_depth floor first in
+      pareto_point ~depth:best.Result_.depth ~swaps:best.Result_.swap_count;
+      found)
+    (ascend (t_lb - 1) t_lb)
 
 (* ---- SWAP optimization (iterative refinement, §III-B-2) ---- *)
 
 (* Seeding of a depth level's descent:
-   [Fresh]       no bound (the very first depth, no warm start);
+   [Fresh]       no bound: the level at the optimal depth starts from the
+                 depth loop's model, with no query;
    [Warm w]      try to start below a heuristic upper bound [w] (paper:
                  "S_UB can alternatively be determined by other heuristic
                  layout synthesizers"); fall back to Fresh on UNSAT;
@@ -434,48 +445,51 @@ type seed = Fresh | Warm of int | Tightened of int
 let minimize_swaps run o ~t_lb ~warm_start =
   match minimize_depth run o ~t_lb with
   | None -> outcome run ~optimal:false []
-  | Some (d0, _, depth_result) ->
+  | Some (depth_result, _) ->
     let pareto = ref [] in
     let best = ref None in
     (* Sweep depth bounds d0, d0+1, ...; at each, descend the SWAP count. *)
     let rec sweep d seed relax_left =
       o.ensure_horizon (d + 1);
       let sel = o.depth_selector d in
-      let assumptions =
-        match seed with
-        | Fresh -> [ sel ]
-        | Warm w | Tightened w ->
-          o.build_counter ~max_bound:(max w 1);
-          sel :: Option.to_list (o.swap_bound_assumption (max 0 (w - 1)))
-      in
-      match
-        iter_span run "opt.sweep_level" ~bound:d ~core:(o.solver ()) (fun () ->
-            o.solve assumptions)
-      with
-      | Solver.Unsat when (match seed with Warm _ -> true | Fresh | Tightened _ -> false) ->
-        (* heuristic bound too tight for the optimal depth: restart the
-           level without it *)
-        sweep d Fresh relax_left
-      | Solver.Unsat | Solver.Unknown _ ->
-        (* no improvement at the relaxed depth (paper termination cond. 2),
-           or out of budget *)
-        ()
-      | Solver.Sat ->
-        let start = o.model_swap_count () in
-        o.build_counter ~max_bound:(max start 1);
-        let count, optimal =
+      let level (start : Result_.t) =
+        o.build_counter ~max_bound:(max start.Result_.swap_count 1);
+        let result, optimal =
           descend run ~phase:"opt.swap_iter" ~solver:o.solver ~solve:o.solve
-            ~assume:(under_depth o sel) ~value:o.model_swap_count start
+            ~assume:(under_depth o sel)
+            ~capture:(fun () -> capture o)
+            ~value:(fun (r : Result_.t) -> r.Result_.swap_count)
+            start
         in
+        let count = result.Result_.swap_count in
         pareto_point ~depth:d ~swaps:count;
         pareto := (d, count) :: !pareto;
         let improves = match seed with Tightened b -> count < b | Fresh | Warm _ -> true in
-        if improves then best := Some (capture run o optimal, optimal);
+        if improves then best := Some (result, optimal);
         if count > 0 && relax_left > 0 && not (Budget.exhausted run.st) then
           sweep (d + 1) (Tightened count) (relax_left - 1)
+      in
+      match seed with
+      | Fresh -> level depth_result
+      | Warm w | Tightened w -> (
+        o.build_counter ~max_bound:(max w 1);
+        let assumptions = sel :: Option.to_list (o.swap_bound_assumption (max 0 (w - 1))) in
+        match
+          iter_span run "opt.sweep_level" ~bound:d ~core:(o.solver ()) (fun () ->
+              o.solve assumptions)
+        with
+        | Solver.Unsat when (match seed with Warm _ -> true | Fresh | Tightened _ -> false) ->
+          (* heuristic bound too tight for the optimal depth: restart the
+             level without it *)
+          sweep d Fresh relax_left
+        | Solver.Unsat | Solver.Unknown _ ->
+          (* no improvement at the relaxed depth (paper termination cond. 2),
+             or out of budget *)
+          ()
+        | Solver.Sat -> level (capture o))
     in
     let initial_seed = match warm_start with Some w when w >= 0 -> Warm w | Some _ | None -> Fresh in
-    sweep d0 initial_seed max_depth_relax;
+    sweep depth_result.Result_.depth initial_seed max_depth_relax;
     let pareto = List.rev !pareto in
     (match !best with
     | Some (result, optimal) -> outcome run ~result ~optimal pareto
@@ -488,22 +502,22 @@ let minimize_swaps run o ~t_lb ~warm_start =
    the integer cost of a SWAP on edge [e] (e.g. scaled -log fidelity), so
    the synthesizer prefers routing through high-fidelity couplers.  Same
    bound descent as the SWAP sweep, over the weighted counter. *)
-let minimize_weighted_swaps run o ~t_lb ~weights =
+let minimize_weighted_swaps run o ~t_lb ~weights instance =
   match minimize_depth run o ~t_lb with
   | None -> outcome run ~optimal:false []
-  | Some (d, _, _) ->
+  | Some (depth_result, _) ->
+    let d = depth_result.Result_.depth in
     let sel = o.depth_selector d in
-    let start = o.model_weighted_cost ~weights in
-    o.build_weighted_counter ~weights ~max_bound:(max start 1);
-    let cost, optimal =
+    let cost = weighted_cost instance.Instance.device ~weights in
+    o.build_weighted_counter ~weights ~max_bound:(max (cost depth_result) 1);
+    let result, optimal =
       descend run ~phase:"opt.weighted_iter" ~solver:o.solver ~solve:o.solve
         ~assume:(under_depth o sel)
-        ~value:(fun () -> o.model_weighted_cost ~weights)
-        start
+        ~capture:(fun () -> capture o)
+        ~value:cost depth_result
     in
-    pareto_point ~depth:d ~swaps:cost;
-    (* the winning model is still in the solver *)
-    outcome run ~result:(capture run o optimal) ~optimal [ (d, cost) ]
+    pareto_point ~depth:d ~swaps:(cost result);
+    outcome run ~result ~optimal [ (d, cost result) ]
 
 (* ---- transition-based optimization (TB-OLSQ2, §III-D) ---- *)
 
@@ -530,14 +544,12 @@ let rec tb_first_sat run ~config instance b =
     | Solver.Unknown _ -> None
   end
 
-let tb_extract run enc optimal =
-  let status = if optimal then Result_.Optimal else Result_.Feasible in
-  let r =
-    Tb_encoder.extract ~status ~solve_seconds:(Stopwatch.elapsed run.clock)
-      ~iterations:run.iterations enc
-  in
-  pareto_point ~depth:r.Tb_encoder.blocks ~swaps:r.Tb_encoder.swap_count;
-  r
+(* A TB model captured at its SAT answer: the SWAP count the encoder's
+   counter sees, and the block model expanded to a schedule. *)
+let tb_capture enc = (Tb_encoder.model_swap_count enc, Tb_encoder.extract enc)
+
+let tb_point (r : Tb_encoder.result) =
+  pareto_point ~depth:r.Tb_encoder.blocks ~swaps:r.Tb_encoder.swap_count
 
 (* TB outcomes carry the block model as the expanded schedule plus a
    (blocks, swap_count) pareto entry. *)
@@ -549,37 +561,40 @@ let tb_outcome run = function
 
 let minimize_tb_blocks run ~config instance =
   tb_first_sat run ~config instance 1
-  |> Option.map (fun (enc, _) -> (tb_extract run enc true, true))
+  |> Option.map (fun (enc, _) ->
+         let r = Tb_encoder.extract enc in
+         tb_point r;
+         (r, true))
   |> tb_outcome run
 
-(* Descend the SWAP bound on a TB encoder holding a model. *)
+(* Descend the SWAP bound on a TB encoder from its first model. *)
 let tb_descend run enc =
-  let start = Tb_encoder.model_swap_count enc in
+  let ((start, _) as first) = tb_capture enc in
   Tb_encoder.build_counter enc ~max_bound:(max start 1);
   descend run ~phase:"opt.swap_iter"
     ~solver:(fun () -> Tb_encoder.solver enc)
     ~solve:(tb_solve run enc)
     ~assume:(fun k -> Option.map (fun a -> [ a ]) (Tb_encoder.swap_bound_assumption enc k))
-    ~value:(fun () -> Tb_encoder.model_swap_count enc)
-    start
+    ~capture:(fun () -> tb_capture enc)
+    ~value:fst first
 
 (* SWAP minimization on the transition-based model: minimal block count
    first, then SWAP descent; relax the block count while it reduces the
    SWAP count further. *)
 let minimize_tb_swaps run ~config instance =
   let best = ref None in
-  let record enc optimal =
-    let r = tb_extract run enc optimal in
+  (* keep the descent's result; its count seeds the relaxation *)
+  let record ((count, r), optimal) =
+    tb_point r;
     (match !best with
     | Some (b, _) when r.Tb_encoder.swap_count >= b.Tb_encoder.swap_count -> ()
     | Some _ | None -> best := Some (r, optimal));
-    r.Tb_encoder.swap_count
+    min count r.Tb_encoder.swap_count
   in
   (match tb_first_sat run ~config instance 1 with
   | None -> ()
   | Some (enc, b0) ->
-    let count, optimal = tb_descend run enc in
-    let count = min count (record enc optimal) in
+    let count = record (tb_descend run enc) in
     let rec relax b prev relax_left =
       if prev = 0 || relax_left = 0 || b + 1 > max_blocks || Budget.exhausted run.st then ()
       else begin
@@ -593,10 +608,7 @@ let minimize_tb_swaps run ~config instance =
               (fun () -> tb_solve run enc' [ a ])
           with
           | Solver.Unsat | Solver.Unknown _ -> () (* no improvement: stop *)
-          | Solver.Sat ->
-            let c, opt = tb_descend run enc' in
-            let c = min c (record enc' opt) in
-            relax (b + 1) c (relax_left - 1))
+          | Solver.Sat -> relax (b + 1) (record (tb_descend run enc')) (relax_left - 1))
       end
     in
     relax b0 count max_block_relax);
@@ -692,14 +704,14 @@ let optimize ~config ~oracle ~budget ?pool ?proof objective instance =
     let out =
       match minimize_depth run o ~t_lb with
       | None -> outcome run ~optimal:false []
-      | Some (d, optimal, result) ->
-        outcome run ~result ~optimal [ (d, result.Result_.swap_count) ]
+      | Some (result, optimal) ->
+        outcome run ~result ~optimal [ (result.Result_.depth, result.Result_.swap_count) ]
     in
     certify o out
   | Swaps { warm_start } ->
     let o = bounds () in
     certify o (minimize_swaps run o ~t_lb ~warm_start)
-  | Weighted_swaps weights -> minimize_weighted_swaps run (bounds ()) ~t_lb ~weights
+  | Weighted_swaps weights -> minimize_weighted_swaps run (bounds ()) ~t_lb ~weights instance
   | Tb_blocks -> minimize_tb_blocks run ~config instance
   | Tb_swaps -> minimize_tb_swaps run ~config instance
 
@@ -720,20 +732,20 @@ let at_lower_bound ~config ~oracle ~budget ?pool objective instance =
   let zero_cost () = sel :: Option.to_list (o.swap_bound_assumption 0) in
   let assumptions, cost =
     match objective with
-    | Depth | Tb_blocks | Tb_swaps -> ([ sel ], o.model_swap_count)
+    | Depth | Tb_blocks | Tb_swaps -> ([ sel ], fun (r : Result_.t) -> r.Result_.swap_count)
     | Swaps _ ->
       o.build_counter ~max_bound:1;
-      (zero_cost (), o.model_swap_count)
+      (zero_cost (), fun r -> r.Result_.swap_count)
     | Weighted_swaps weights ->
       o.build_weighted_counter ~weights ~max_bound:1;
-      (zero_cost (), fun () -> o.model_weighted_cost ~weights)
+      (zero_cost (), weighted_cost instance.Instance.device ~weights)
   in
   match
     iter_span run "opt.window_iter" ~bound:t_lb ~core:(o.solver ()) (fun () -> o.solve assumptions)
   with
   | Solver.Sat ->
-    let result = capture run o true in
-    let cost = cost () in
+    let result = capture o in
+    let cost = cost result in
     pareto_point ~depth:t_lb ~swaps:cost;
     outcome run ~result ~optimal:true [ (t_lb, cost) ]
   | Solver.Unsat | Solver.Unknown _ -> outcome run ~optimal:false []

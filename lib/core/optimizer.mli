@@ -57,7 +57,11 @@ type objective =
 
 type outcome = {
   result : Result_.t option;
-      (** for TB objectives, the expanded concrete schedule *)
+      (** the best layout found, captured when its SAT answer arrived, so
+          a run whose budget ran out mid-descent still returns it, with
+          [optimal = false]; its [status], [solve_seconds] and
+          [iterations] are the run's.  For TB objectives, the expanded
+          concrete schedule *)
   optimal : bool;
   iterations : int;  (** total solver calls *)
   total_seconds : float;
@@ -107,6 +111,10 @@ val optimize :
   objective ->
   Instance.t ->
   outcome
+
+(** [weighted_cost device ~weights r] is the sum of [weights e] over
+    [r]'s SWAPs, [e] being each SWAP's edge id on [device]. *)
+val weighted_cost : Olsq2_device.Coupling.t -> weights:(int -> int) -> Result_.t -> int
 
 (** The smallest depth a schedule can have: [Instance.depth_lower_bound]
     (the longest dependency chain), and at least 1, since a schedule of

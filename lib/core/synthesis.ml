@@ -531,11 +531,7 @@ let try_window plan ~budget ?pool ~objective instance (ball : Window.ball) =
         | Depth | Tb_blocks | Tb_swaps -> 0
         | Swaps _ -> lifted.Result_.swap_count
         | Weighted_swaps weights ->
-          List.fold_left
-            (fun acc (sw : Result_.swap) ->
-              let a, b = sw.Result_.sw_edge in
-              acc + weights (Olsq2_device.Coupling.edge_id instance.Instance.device a b))
-            0 lifted.Result_.swaps
+          Optimizer.weighted_cost instance.Instance.device ~weights lifted
       in
       if lifted.Result_.depth <> t_lb then
         Error (Printf.sprintf "depth %d is above the lower bound %d" lifted.Result_.depth t_lb)

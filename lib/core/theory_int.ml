@@ -196,22 +196,30 @@ let solve ?(assumptions = []) ?max_conflicts ?timeout t =
     | Some d -> Some (Float.max 0.001 (d -. Stopwatch.now ()))
   in
   let expired () = match deadline with None -> false | Some d -> Stopwatch.now () > d in
+  (* the conflict cap covers the whole loop, not each round *)
+  let start = (Solver.stats solver).Solver.conflicts in
+  let left () =
+    Option.map (fun m -> m - ((Solver.stats solver).Solver.conflicts - start)) max_conflicts
+  in
   let rec loop () =
     if expired () then Solver.Unknown Solver.Timeout
     else
-      match Solver.solve ~assumptions ?max_conflicts ?timeout:(remaining ()) solver with
-      | (Solver.Unsat | Solver.Unknown _) as r -> r
-      | Solver.Sat -> (
-        t.theory_rounds <- t.theory_rounds + 1;
-        match check t solver with
-        | [] -> Solver.Sat
-        | lemmas ->
-          List.iter
-            (fun lemma ->
-              t.lemmas <- t.lemmas + 1;
-              Solver.add_clause solver lemma)
-            lemmas;
-          loop ())
+      match left () with
+      | Some m when m <= 0 -> Solver.Unknown Solver.Conflict_budget
+      | max_conflicts -> (
+        match Solver.solve ~assumptions ?max_conflicts ?timeout:(remaining ()) solver with
+        | (Solver.Unsat | Solver.Unknown _) as r -> r
+        | Solver.Sat -> (
+          t.theory_rounds <- t.theory_rounds + 1;
+          match check t solver with
+          | [] -> Solver.Sat
+          | lemmas ->
+            List.iter
+              (fun lemma ->
+                t.lemmas <- t.lemmas + 1;
+                Solver.add_clause solver lemma)
+              lemmas;
+            loop ()))
   in
   loop ()
 

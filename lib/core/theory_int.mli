@@ -28,7 +28,8 @@ val lt_var : ivar -> ivar -> Formula.t
 
 (** CEGAR loop: SAT-solve, theory-check every variable, add lemmas for
     inconsistencies, repeat.  Returns [Sat] only for theory-consistent
-    models. *)
+    models; after any other verdict the solver may hold a model that is
+    not.  [max_conflicts] caps the whole loop, not each round. *)
 val solve : ?assumptions:Lit.t list -> ?max_conflicts:int -> ?timeout:float -> t -> Solver.result
 
 (** Value of a variable in the (theory-consistent) model. *)

@@ -656,13 +656,3 @@ let model t =
             find 0))
   in
   { m_depth = depth; m_schedule = schedule; m_mapping = mapping; m_swaps = swaps }
-
-let model_swap_count t =
-  List.fold_left
-    (fun acc (_, _, sl) -> if Solver.model_value (solver t) sl then acc + 1 else acc)
-    0 (sigma_lits t)
-
-let model_weighted_cost t ~weights =
-  List.fold_left
-    (fun acc (e, _, sl) -> if Solver.model_value (solver t) sl then acc + weights e else acc)
-    0 (sigma_lits t)

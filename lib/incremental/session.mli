@@ -87,6 +87,3 @@ type model = {
 
 (** Extract the last [Sat] answer's layout. *)
 val model : t -> model
-
-val model_swap_count : t -> int
-val model_weighted_cost : t -> weights:(int -> int) -> int

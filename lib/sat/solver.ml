@@ -9,6 +9,10 @@
      contiguous memory instead of chasing boxed records;
    - cache-local watcher arrays: per-literal flat (blocker, cref) int
      pairs with in-place compaction, no boxed watcher records;
+   - int-only vectors ({!Olsq2_util.Ivec}) for the trail (literals as
+     [Lit.to_int]), its decision-level marks, the clause-reference lists
+     and the conflict-analysis scratch, so pushing, setting and
+     unassigning never pay the GC write barrier;
    - two-watched-literal unit propagation with blocker literals,
    - first-UIP conflict analysis with basic clause minimization,
    - VSIDS decision heuristic with phase saving ([Tuning.phase_mode]),
@@ -23,7 +27,7 @@
    All strategy constants live in {!Tuning}; the solver reads the ambient
    tuning at creation and never hard-codes a schedule. *)
 
-module Vec = Olsq2_util.Vec
+module Ivec = Olsq2_util.Ivec
 
 type reason = Conflict_budget | Timeout | Interrupted
 
@@ -229,8 +233,8 @@ type t = {
   (* clause database: crefs.  Problem-clause entries are never compacted
      away within a database generation — a clause deleted before a GC
      leaves a [null_cref] sentinel so replica sync cursors stay valid. *)
-  clauses : int Vec.t;
-  learnts : int Vec.t;
+  clauses : Ivec.t;
+  learnts : Ivec.t;
   (* per-literal watcher arrays: watch_data.(Lit.to_int l) holds
      (blocker, cref) int pairs for clauses that must be inspected when
      [l] becomes true (i.e. clauses watching [negate l]) *)
@@ -246,8 +250,8 @@ type t = {
   mutable level_mark : int array; (* LBD scratch, stamped by [mark_gen] *)
   mutable mark_gen : int;
   (* trail *)
-  trail : Lit.t Vec.t;
-  trail_lim : int Vec.t;
+  trail : Ivec.t; (* [Lit.to_int] of each assigned literal *)
+  trail_lim : Ivec.t;
   mutable qhead : int;
   (* heuristics *)
   order : Var_heap.t;
@@ -263,9 +267,9 @@ type t = {
   mutable cbuf_len : int;
   mutable cout : int array;
   (* [analyze] scratch, cleared per conflict *)
-  an_learnt : Lit.t Vec.t;
-  an_kept : Lit.t Vec.t;
-  an_clear : int Vec.t;
+  an_learnt : Ivec.t; (* literals, as [Lit.to_int] *)
+  an_kept : Ivec.t;
+  an_clear : Ivec.t;
   (* status *)
   mutable nvars : int;
   mutable ok : bool; (* false once UNSAT at level 0 *)
@@ -293,7 +297,7 @@ type t = {
   mutable share : share option;
   (* bumped whenever the problem-clause database is rewritten wholesale
      ([begin_simplify]); replicas keyed on (identity, generation,
-     Vec index) know to resync from scratch instead of by delta *)
+     entry index) know to resync from scratch instead of by delta *)
   mutable db_generation : int;
   stats : stats;
 }
@@ -305,8 +309,8 @@ let create ?tuning () =
     arena_top = 0;
     arena_wasted = 0;
     arena_hw = 0;
-    clauses = Vec.create null_cref;
-    learnts = Vec.create null_cref;
+    clauses = Ivec.create ();
+    learnts = Ivec.create ();
     watch_data = [||];
     watch_len = [||];
     assigns = [||];
@@ -317,8 +321,8 @@ let create ?tuning () =
     seen = [||];
     level_mark = [||];
     mark_gen = 0;
-    trail = Vec.create Lit.undef;
-    trail_lim = Vec.create 0;
+    trail = Ivec.create ();
+    trail_lim = Ivec.create ();
     qhead = 0;
     order = Var_heap.create ();
     var_inc = 1.0;
@@ -329,9 +333,9 @@ let create ?tuning () =
     cbuf = [||];
     cbuf_len = 0;
     cout = [||];
-    an_learnt = Vec.create Lit.undef;
-    an_kept = Vec.create Lit.undef;
-    an_clear = Vec.create 0;
+    an_learnt = Ivec.create ();
+    an_kept = Ivec.create ();
+    an_clear = Ivec.create ();
     nvars = 0;
     ok = true;
     model = [||];
@@ -496,7 +500,7 @@ let litv t li =
   let a = Array.unsafe_get t.assigns (li lsr 1) in
   if li land 1 = 0 then a else -a
 
-let decision_level t = Vec.length t.trail_lim
+let decision_level t = Ivec.length t.trail_lim
 
 let var_bump t v =
   t.activity.(v) <- t.activity.(v) +. t.var_inc;
@@ -514,7 +518,7 @@ let var_decay_activity t = t.var_inc <- t.var_inc /. t.tuning.Tuning.var_decay
 let clause_bump t c =
   c_set_activity t c (c_activity t c +. t.cla_inc);
   if c_activity t c > 1e20 then begin
-    Vec.iter (fun cc -> c_set_activity t cc (c_activity t cc *. 1e-20)) t.learnts;
+    Ivec.iter (fun cc -> c_set_activity t cc (c_activity t cc *. 1e-20)) t.learnts;
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
@@ -526,7 +530,7 @@ let enqueue t l reason =
   t.assigns.(v) <- (if Lit.sign l then 1 else -1);
   t.level.(v) <- decision_level t;
   t.reason.(v) <- reason;
-  Vec.push t.trail l
+  Ivec.push t.trail (Lit.to_int l)
 
 (* ---- watcher arrays ---- *)
 
@@ -575,18 +579,18 @@ let unwatch_clause t c =
 
 let cancel_until t lvl =
   if decision_level t > lvl then begin
-    let bound = Vec.get t.trail_lim lvl in
-    for i = Vec.length t.trail - 1 downto bound do
-      let l = Vec.get t.trail i in
+    let bound = Ivec.get t.trail_lim lvl in
+    for i = Ivec.length t.trail - 1 downto bound do
+      let l = Lit.of_int (Ivec.unsafe_get t.trail i) in
       let v = Lit.var l in
       t.assigns.(v) <- 0;
       t.polarity.(v) <- Lit.sign l;
       t.reason.(v) <- null_cref;
       Var_heap.insert t.order v
     done;
-    Vec.shrink t.trail bound;
-    Vec.shrink t.trail_lim lvl;
-    t.qhead <- Vec.length t.trail
+    Ivec.shrink t.trail bound;
+    Ivec.shrink t.trail_lim lvl;
+    t.qhead <- Ivec.length t.trail
   end
 
 (* ---- propagation ---- *)
@@ -609,11 +613,10 @@ let rec first_non_false t base size k =
 let propagate t =
   let confl = ref null_cref in
   (try
-     while t.qhead < Vec.length t.trail do
-       let p = Vec.get t.trail t.qhead in
+     while t.qhead < Ivec.length t.trail do
+       let pi = Ivec.unsafe_get t.trail t.qhead in
        t.qhead <- t.qhead + 1;
        t.stats.propagations <- t.stats.propagations + 1;
-       let pi = Lit.to_int p in
        let data = t.watch_data.(pi) in
        let n = t.watch_len.(pi) in
        let false_lit = pi lxor 1 in
@@ -660,7 +663,7 @@ let propagate t =
                   (* conflict: keep the rest of the list, stop *)
                   Array.blit data !i data !j (n - !i);
                   t.watch_len.(pi) <- !j + (n - !i);
-                  t.qhead <- Vec.length t.trail;
+                  t.qhead <- Ivec.length t.trail;
                   raise (Conflict_at c)
                 end
                 else begin
@@ -704,15 +707,15 @@ let lit_redundant t l =
    level, lbd). *)
 let analyze t confl =
   let learnt = t.an_learnt in
-  Vec.clear learnt;
-  Vec.push learnt Lit.undef;
+  Ivec.clear learnt;
+  Ivec.push learnt (Lit.to_int Lit.undef);
   (* slot for the asserting literal *)
   let path_count = ref 0 in
   let p = ref Lit.undef in
-  let index = ref (Vec.length t.trail - 1) in
+  let index = ref (Ivec.length t.trail - 1) in
   let confl = ref confl in
   let to_clear = t.an_clear in
-  Vec.clear to_clear;
+  Ivec.clear to_clear;
   let continue_loop = ref true in
   while !continue_loop do
     let c = !confl in
@@ -724,16 +727,17 @@ let analyze t confl =
       let v = Lit.var q in
       if (not t.seen.(v)) && t.level.(v) > 0 then begin
         t.seen.(v) <- true;
-        Vec.push to_clear v;
+        Ivec.push to_clear v;
         var_bump t v;
-        if t.level.(v) >= decision_level t then incr path_count else Vec.push learnt q
+        if t.level.(v) >= decision_level t then incr path_count
+        else Ivec.push learnt (Lit.to_int q)
       end
     done;
     (* pick next literal to resolve on *)
-    while not t.seen.(Lit.var (Vec.get t.trail !index)) do
+    while not t.seen.(Lit.var (Lit.of_int (Ivec.get t.trail !index))) do
       decr index
     done;
-    p := Vec.get t.trail !index;
+    p := Lit.of_int (Ivec.get t.trail !index);
     decr index;
     let v = Lit.var !p in
     confl := t.reason.(v);
@@ -741,47 +745,49 @@ let analyze t confl =
     decr path_count;
     if !path_count <= 0 then continue_loop := false
   done;
-  Vec.set learnt 0 (Lit.negate !p);
+  Ivec.set learnt 0 (Lit.to_int (Lit.negate !p));
   (* minimization: drop redundant non-UIP literals *)
   let kept = t.an_kept in
-  Vec.clear kept;
-  Vec.push kept (Vec.get learnt 0);
-  for i = 1 to Vec.length learnt - 1 do
-    let l = Vec.get learnt i in
-    if not (lit_redundant t l) then Vec.push kept l
+  Ivec.clear kept;
+  Ivec.push kept (Ivec.get learnt 0);
+  for i = 1 to Ivec.length learnt - 1 do
+    let l = Ivec.get learnt i in
+    if not (lit_redundant t (Lit.of_int l)) then Ivec.push kept l
   done;
-  let learnt = kept in
+  let learnt = Array.make (Ivec.length kept) Lit.undef in
+  for i = 0 to Ivec.length kept - 1 do
+    learnt.(i) <- Lit.of_int (Ivec.unsafe_get kept i)
+  done;
   (* backtrack level: max level among learnt[1..]; move it to slot 1 *)
   let btlevel =
-    if Vec.length learnt = 1 then 0
+    if Array.length learnt = 1 then 0
     else begin
       let max_i = ref 1 in
-      for i = 2 to Vec.length learnt - 1 do
-        if t.level.(Lit.var (Vec.get learnt i)) > t.level.(Lit.var (Vec.get learnt !max_i)) then
-          max_i := i
+      for i = 2 to Array.length learnt - 1 do
+        if t.level.(Lit.var learnt.(i)) > t.level.(Lit.var learnt.(!max_i)) then max_i := i
       done;
-      let tmp = Vec.get learnt 1 in
-      Vec.set learnt 1 (Vec.get learnt !max_i);
-      Vec.set learnt !max_i tmp;
-      t.level.(Lit.var (Vec.get learnt 1))
+      let tmp = learnt.(1) in
+      learnt.(1) <- learnt.(!max_i);
+      learnt.(!max_i) <- tmp;
+      t.level.(Lit.var learnt.(1))
     end
   in
   (* literal-block distance, via a stamped level-mark scratch array *)
   t.mark_gen <- t.mark_gen + 1;
   let gen = t.mark_gen in
   let lbd = ref 0 in
-  for i = 0 to Vec.length learnt - 1 do
-    let lv = t.level.(Lit.var (Vec.get learnt i)) in
+  for i = 0 to Array.length learnt - 1 do
+    let lv = t.level.(Lit.var learnt.(i)) in
     if lv >= 0 && lv < Array.length t.level_mark && t.level_mark.(lv) <> gen then begin
       t.level_mark.(lv) <- gen;
       incr lbd
     end
   done;
   (* clear seen *)
-  for i = 0 to Vec.length to_clear - 1 do
-    t.seen.(Vec.get to_clear i) <- false
+  for i = 0 to Ivec.length to_clear - 1 do
+    t.seen.(Ivec.unsafe_get to_clear i) <- false
   done;
-  (Vec.to_array learnt, btlevel, !lbd)
+  (learnt, btlevel, !lbd)
 
 (* Compute the subset of assumptions responsible for a conflict (final
    conflict analysis, MiniSat's analyzeFinal).  [a] is the assumption
@@ -793,8 +799,8 @@ let analyze_final t a =
   let core = ref [ a ] in
   if decision_level t > 0 then begin
     t.seen.(Lit.var a) <- true;
-    for i = Vec.length t.trail - 1 downto Vec.get t.trail_lim 0 do
-      let l = Vec.get t.trail i in
+    for i = Ivec.length t.trail - 1 downto Ivec.get t.trail_lim 0 do
+      let l = Lit.of_int (Ivec.get t.trail i) in
       let v = Lit.var l in
       if t.seen.(v) then begin
         let r = t.reason.(v) in
@@ -839,18 +845,18 @@ let garbage_collect t =
       nc
     end
   in
-  for i = 0 to Vec.length t.clauses - 1 do
-    let c = Vec.get t.clauses i in
+  for i = 0 to Ivec.length t.clauses - 1 do
+    let c = Ivec.get t.clauses i in
     if c <> null_cref then
-      if c_deleted t c then Vec.set t.clauses i null_cref else Vec.set t.clauses i (reloc c)
+      if c_deleted t c then Ivec.set t.clauses i null_cref else Ivec.set t.clauses i (reloc c)
   done;
-  let keep = Vec.create null_cref in
-  Vec.iter (fun c -> if not (c_deleted t c) then Vec.push keep (reloc c)) t.learnts;
-  Vec.clear t.learnts;
-  Vec.iter (fun c -> Vec.push t.learnts c) keep;
-  Vec.iter
+  Ivec.filteri (fun _ c -> not (c_deleted t c)) t.learnts;
+  for i = 0 to Ivec.length t.learnts - 1 do
+    Ivec.set t.learnts i (reloc (Ivec.get t.learnts i))
+  done;
+  Ivec.iter
     (fun l ->
-      let v = Lit.var l in
+      let v = Lit.var (Lit.of_int l) in
       let r = t.reason.(v) in
       if r <> null_cref then t.reason.(v) <- reloc r)
     t.trail;
@@ -858,8 +864,8 @@ let garbage_collect t =
   t.arena_top <- !top;
   t.arena_wasted <- 0;
   Array.fill t.watch_len 0 (Array.length t.watch_len) 0;
-  Vec.iter (fun c -> if c <> null_cref then watch_clause t c) t.clauses;
-  Vec.iter (fun c -> watch_clause t c) t.learnts;
+  Ivec.iter (fun c -> if c <> null_cref then watch_clause t c) t.clauses;
+  Ivec.iter (fun c -> watch_clause t c) t.learnts;
   t.stats.compactions <- t.stats.compactions + 1
 
 let maybe_gc t =
@@ -996,7 +1002,7 @@ let clause_commit t =
       else begin
         let c = alloc_header t ~learnt:false ~lbd:0 k in
         Array.blit t.cout 0 t.arena (c + 3) k;
-        Vec.push t.clauses c;
+        Ivec.push t.clauses c;
         watch_clause t c
       end
     end
@@ -1027,22 +1033,19 @@ let remove_clause t c =
 let reduce_db t =
   (* Sort learnts: keep low-LBD / high-activity clauses; drop the tail
      fraction (1 - reduce_keep). *)
-  Vec.sort
+  Ivec.sort
     (fun a b ->
       let la = c_lbd t a and lb = c_lbd t b in
       if la <> lb then compare la lb else compare (c_activity t b) (c_activity t a))
     t.learnts;
-  let n = Vec.length t.learnts in
+  let n = Ivec.length t.learnts in
   let keep_n = int_of_float (t.tuning.Tuning.reduce_keep *. float_of_int n) in
   let lbd_protect = t.tuning.Tuning.reduce_lbd_protect in
-  let keep = Vec.create null_cref in
-  Vec.iteri
+  Ivec.filteri
     (fun i c ->
       let protect = c_lbd t c <= lbd_protect || c_size t c = 2 || clause_locked t c in
-      if i < keep_n || protect then Vec.push keep c else remove_clause t c)
+      i < keep_n || protect || (remove_clause t c; false))
     t.learnts;
-  Vec.clear t.learnts;
-  Vec.iter (fun c -> Vec.push t.learnts c) keep;
   maybe_gc t
 
 (* ---- simplification primitives (driven by lib/simplify) ---- *)
@@ -1069,17 +1072,17 @@ let begin_simplify t =
     t.ok <- false;
     log_learnt t [||]
   end;
-  Vec.iter (fun l -> t.reason.(Lit.var l) <- null_cref) t.trail;
+  Ivec.iter (fun l -> t.reason.(Lit.var (Lit.of_int l)) <- null_cref) t.trail;
   Array.fill t.watch_len 0 (Array.length t.watch_len) 0;
   let live = ref [] in
-  Vec.iter
+  Ivec.iter
     (fun c ->
       if c <> null_cref && not (c_deleted t c) then begin
         live := c_lits t c :: !live;
         c_mark_deleted t c
       end)
     t.clauses;
-  Vec.clear t.clauses;
+  Ivec.clear t.clauses;
   List.rev !live
 
 (* Put a problem clause back after simplification.  No proof events fire
@@ -1109,7 +1112,7 @@ let restore_clause t lits =
       end
       else begin
         let c = alloc t ~learnt:false ~lbd:0 (Array.of_list (List.rev !keep)) in
-        Vec.push t.clauses c;
+        Ivec.push t.clauses c;
         watch_clause t c
       end
     end
@@ -1144,10 +1147,9 @@ let eliminate_var t ~pivot clauses =
    propagate the units the simplifier asserted. *)
 let end_simplify t =
   if t.ok then begin
-    let keep = Vec.create null_cref in
-    Vec.iter
-      (fun c ->
-        if c_deleted t c then ()
+    Ivec.filteri
+      (fun _ c ->
+        if c_deleted t c then false
         else begin
           let size = c_size t c in
           let any_elim = ref false and any_sat = ref false in
@@ -1159,7 +1161,8 @@ let end_simplify t =
           if !any_elim || !any_sat then begin
             log_delete t (c_lits t c);
             c_mark_deleted t c;
-            t.stats.removed_clauses <- t.stats.removed_clauses + 1
+            t.stats.removed_clauses <- t.stats.removed_clauses + 1;
+            false
           end
           else begin
             let orig = c_lits t c in
@@ -1185,27 +1188,27 @@ let end_simplify t =
             end;
             if nl = 0 then begin
               t.ok <- false;
-              log_learnt t [||]
+              log_learnt t [||];
+              false
             end
             else if nl = 1 then begin
               c_mark_deleted t c;
               t.stats.removed_clauses <- t.stats.removed_clauses + 1;
-              match lit_value t (c_lit t c 0) with
+              (match lit_value t (c_lit t c 0) with
               | 0 -> enqueue t (c_lit t c 0) null_cref
               | -1 ->
                 t.ok <- false;
                 log_learnt t [||]
-              | _ -> ()
+              | _ -> ());
+              false
             end
             else begin
-              Vec.push keep c;
-              watch_clause t c
+              watch_clause t c;
+              true
             end
           end
         end)
       t.learnts;
-    Vec.clear t.learnts;
-    Vec.iter (fun c -> Vec.push t.learnts c) keep;
     t.in_simplify <- false;
     if t.ok && propagate t <> null_cref then begin
       t.ok <- false;
@@ -1291,7 +1294,7 @@ let vivify ?budget t =
                | -1 -> () (* prefix implies ¬l: drop l *)
                | _ ->
                  push_kept l;
-                 Vec.push t.trail_lim (Vec.length t.trail);
+                 Ivec.push t.trail_lim (Ivec.length t.trail);
                  enqueue t (Lit.negate l) null_cref;
                  if propagate t <> null_cref then
                    (* prefix alone is contradictory: keep just the prefix *)
@@ -1332,12 +1335,12 @@ let vivify ?budget t =
            else begin
              let lbd = if learnt then min (c_lbd t c) nl else 0 in
              let nc = alloc t ~learnt ~lbd shortened in
-             if learnt then Vec.push t.learnts nc
+             if learnt then Ivec.push t.learnts nc
              else
                (* new entry appended: replicas syncing by index pick it up,
                   and the old entry is flagged deleted, preserving the
                   append-only cursor invariant *)
-               Vec.push t.clauses nc;
+               Ivec.push t.clauses nc;
              watch_clause t nc
            end);
           true
@@ -1347,27 +1350,24 @@ let vivify ?budget t =
     (* Problem clauses first (their shortenings help every future solve),
        then low-LBD learnts.  Snapshot the entry counts: clauses appended
        by vivification itself must not be revisited this pass. *)
-    let n_problem = Vec.length t.clauses in
+    let n_problem = Ivec.length t.clauses in
     let i = ref 0 in
     while t.ok && !i < n_problem && not (over_budget ()) do
-      let c = Vec.get t.clauses !i in
+      let c = Ivec.get t.clauses !i in
       if c <> null_cref && (not (c_deleted t c)) && c_size t c >= 3 then
         ignore (vivify_clause c);
       incr i
     done;
-    let n_learnt = Vec.length t.learnts in
+    let n_learnt = Ivec.length t.learnts in
     let j = ref 0 in
     while t.ok && !j < n_learnt && not (over_budget ()) do
-      let c = Vec.get t.learnts !j in
+      let c = Ivec.get t.learnts !j in
       if (not (c_deleted t c)) && c_size t c >= 3 && c_lbd t c <= 6 then ignore (vivify_clause c);
       incr j
     done;
     (* drop deleted learnt entries eagerly; problem entries keep their
        slots (replication invariant) until the next compaction *)
-    let keep = Vec.create null_cref in
-    Vec.iter (fun c -> if not (c_deleted t c) then Vec.push keep c) t.learnts;
-    Vec.clear t.learnts;
-    Vec.iter (fun c -> Vec.push t.learnts c) keep;
+    Ivec.filteri (fun _ c -> not (c_deleted t c)) t.learnts;
     maybe_gc t;
     t.stats.vivify_seconds <- t.stats.vivify_seconds +. (Olsq2_util.Stopwatch.now () -. t0)
   end
@@ -1424,7 +1424,7 @@ let record_learnt t learnt lbd =
   end
   else begin
     let c = alloc t ~learnt:true ~lbd learnt in
-    Vec.push t.learnts c;
+    Ivec.push t.learnts c;
     watch_clause t c;
     clause_bump t c;
     t.stats.learnt_clauses <- t.stats.learnt_clauses + 1;
@@ -1467,7 +1467,7 @@ let import_shared_clause t lits =
       else begin
         let live = Array.of_list (List.rev !keep) in
         let c = alloc t ~learnt:true ~lbd:(Array.length live) live in
-        Vec.push t.learnts c;
+        Ivec.push t.learnts c;
         watch_clause t c
       end;
       t.stats.shared_imported <- t.stats.shared_imported + 1
@@ -1521,7 +1521,7 @@ let search t assumptions conflict_budget deadline =
       (* conflict *)
       t.stats.conflicts <- t.stats.conflicts + 1;
       incr conflicts_here;
-      Hist.observe_int t.stats.trail_hist (Vec.length t.trail);
+      Hist.observe_int t.stats.trail_hist (Ivec.length t.trail);
       (match t.progress with
       | Some f when t.stats.conflicts >= t.next_progress ->
         t.next_progress <- t.stats.conflicts + t.progress_interval;
@@ -1563,8 +1563,8 @@ let search t assumptions conflict_budget deadline =
     else begin
       (* learnt DB housekeeping *)
       if
-        Vec.length t.learnts
-        > t.tuning.Tuning.reduce_base + (Vec.length t.clauses / 2) + (t.stats.conflicts / 3)
+        Ivec.length t.learnts
+        > t.tuning.Tuning.reduce_base + (Ivec.length t.clauses / 2) + (t.stats.conflicts / 3)
       then begin
         reduce_db t;
         tick red_acc
@@ -1576,7 +1576,7 @@ let search t assumptions conflict_budget deadline =
         match lit_value t a with
         | 1 ->
           (* already satisfied: open an empty decision level for it *)
-          Vec.push t.trail_lim (Vec.length t.trail);
+          Ivec.push t.trail_lim (Ivec.length t.trail);
           loop ()
         | -1 ->
           (* assumption conflicts with current state: record the failed
@@ -1586,7 +1586,7 @@ let search t assumptions conflict_budget deadline =
           log_learnt t (Array.of_list (List.rev_map Lit.negate core));
           `Unsat_assumptions
         | _ ->
-          Vec.push t.trail_lim (Vec.length t.trail);
+          Ivec.push t.trail_lim (Ivec.length t.trail);
           enqueue t a null_cref;
           loop ()
       end
@@ -1596,7 +1596,7 @@ let search t assumptions conflict_budget deadline =
         else begin
           t.stats.decisions <- t.stats.decisions + 1;
           let l = Lit.of_var ~sign:(decision_sign t v) v in
-          Vec.push t.trail_lim (Vec.length t.trail);
+          Ivec.push t.trail_lim (Ivec.length t.trail);
           enqueue t l null_cref;
           loop ()
         end
@@ -1686,7 +1686,7 @@ let word_bytes = 8
 
 let learnt_bytes t =
   let words = ref 0 in
-  Vec.iter (fun c -> if not (c_deleted t c) then words := !words + 3 + c_size t c) t.learnts;
+  Ivec.iter (fun c -> if not (c_deleted t c) then words := !words + 3 + c_size t c) t.learnts;
   word_bytes * !words
 
 let watcher_bytes t =
@@ -1724,7 +1724,7 @@ let solve ?assumptions ?max_conflicts ?timeout t =
           [
             ("assumptions", Obs.Int (match assumptions with Some a -> List.length a | None -> 0));
             ("vars", Obs.Int t.nvars);
-            ("clauses", Obs.Int (Vec.length t.clauses));
+            ("clauses", Obs.Int (Ivec.length t.clauses));
           ]
     in
     let result = solve_raw ?assumptions ?max_conflicts ?timeout t in
@@ -1787,8 +1787,8 @@ let suggest_phase t v phase = if v >= 0 && v < t.nvars then t.polarity.(v) <- ph
 let conflict_core t = t.conflict_core
 let unsat_core t = t.conflict_core
 let is_ok t = t.ok
-let n_clauses t = Vec.length t.clauses
-let n_learnts t = Vec.length t.learnts
+let n_clauses t = Ivec.length t.clauses
+let n_learnts t = Ivec.length t.learnts
 
 (* ---- replication interface (lib/parallel) ----
 
@@ -1806,26 +1806,25 @@ let saved_phase t v = v >= 0 && v < t.nvars && t.polarity.(v)
 
 (* Number of entries ever pushed to the problem vector this generation,
    including ones since flagged deleted — the replica sync cursor. *)
-let n_problem_entries t = Vec.length t.clauses
+let n_problem_entries t = Ivec.length t.clauses
 
 (* Root-level (level-0) trail segment, from entry [from] on. *)
+let n_root_units t =
+  if Ivec.length t.trail_lim = 0 then Ivec.length t.trail else Ivec.get t.trail_lim 0
+
 let root_units ?(from = 0) t =
-  let stop = if Vec.length t.trail_lim = 0 then Vec.length t.trail else Vec.get t.trail_lim 0 in
   let out = ref [] in
-  for i = stop - 1 downto from do
-    out := Vec.get t.trail i :: !out
+  for i = n_root_units t - 1 downto from do
+    out := Lit.of_int (Ivec.get t.trail i) :: !out
   done;
   !out
-
-let n_root_units t =
-  if Vec.length t.trail_lim = 0 then Vec.length t.trail else Vec.get t.trail_lim 0
 
 (* Fold over live problem clauses whose entry index is >= [from].  The
    literal arrays are fresh copies out of the arena. *)
 let fold_problem_clauses ?(from = 0) t f acc =
   let acc = ref acc in
-  for i = from to Vec.length t.clauses - 1 do
-    let c = Vec.get t.clauses i in
+  for i = from to Ivec.length t.clauses - 1 do
+    let c = Ivec.get t.clauses i in
     if c <> null_cref && not (c_deleted t c) then acc := f !acc (c_lits t c)
   done;
   !acc

@@ -439,6 +439,63 @@ let prop_session_certificates_cross_check =
             | None, _ -> Q.Test.fail_report "no layout within the budget")
           [ Core.Synthesis.Depth; Core.Synthesis.Swaps { warm_start = None } ])
 
+(* property: the depth loop asks each bound once.  On the session and on
+   the classic oracle, for Depth and Swaps: no two depth queries share a
+   bound, no depth query lands at or below a bound refuted earlier in the
+   run, and both oracles reach the same optimum. *)
+let prop_bounds_asked_once =
+  Q.Test.make ~count:30 ~name:"each depth bound asked once" instance_arbitrary (fun inst ->
+      match inst with
+      | None -> true
+      | Some (spec, dev) ->
+        let circuit = build_circuit spec in
+        let inst = Core.Instance.make ~swap_duration:3 circuit dev in
+        let base =
+          Core.Synthesis.Options.(
+            default |> with_workers 1 |> with_budget (Core.Budget.of_seconds 60.0))
+        in
+        let asked_once name (r : Core.Synthesis.report) =
+          let rec go refuted seen = function
+            | [] -> true
+            | (it : Core.Optimizer.iter_stat) :: rest ->
+              let b = it.Core.Optimizer.iter_bound in
+              if List.mem b seen then Q.Test.fail_reportf "%s: depth %d asked twice" name b
+              else if b <= refuted then
+                Q.Test.fail_reportf "%s: depth %d asked after %d was refuted" name b refuted
+              else
+                go
+                  (if it.Core.Optimizer.iter_verdict = "unsat" then max refuted b else refuted)
+                  (b :: seen) rest
+          in
+          go min_int []
+            (List.filter
+               (fun (it : Core.Optimizer.iter_stat) ->
+                 it.Core.Optimizer.iter_phase = "opt.depth_iter")
+               r.Core.Synthesis.iter_stats)
+        in
+        List.for_all
+          (fun (obj_name, objective, value) ->
+            let optimum oracle incremental =
+              let name = obj_name ^ "/" ^ oracle in
+              let r =
+                Core.Synthesis.run
+                  ~options:(Core.Synthesis.Options.with_incremental incremental base)
+                  ~objective inst
+              in
+              match r.Core.Synthesis.result with
+              | Some res when r.Core.Synthesis.optimal && asked_once name r -> value res
+              | Some _ | None -> Q.Test.fail_reportf "%s: no optimum" name
+            in
+            let session = optimum "session" true and classic = optimum "classic" false in
+            session = classic
+            || Q.Test.fail_reportf "%s: session found %d, classic %d" obj_name session classic)
+          [
+            ("depth", Core.Synthesis.Depth, fun (r : Core.Result_.t) -> r.Core.Result_.depth);
+            ( "swaps",
+              Core.Synthesis.Swaps { warm_start = None },
+              fun (r : Core.Result_.t) -> r.Core.Result_.swap_count );
+          ])
+
 (* ---- proof fuzzing ----
 
    Random 3-CNFs solved with DRAT logging attached: every SAT answer must
@@ -525,6 +582,7 @@ let suite =
           prop_depth_bounds;
           prop_optima_identity;
           prop_session_certificates_cross_check;
+          prop_bounds_asked_once;
         ]
       @ [ Alcotest.test_case "proof fuzz: random 3-CNF certified" `Quick test_proof_fuzz ] );
   ]

@@ -1,6 +1,7 @@
-(* Unit and property tests for Olsq2_util: Vec, Rng, Stopwatch. *)
+(* Unit and property tests for Olsq2_util: Vec, Ivec, Rng, Stopwatch. *)
 
 module Vec = Olsq2_util.Vec
+module Ivec = Olsq2_util.Ivec
 module Rng = Olsq2_util.Rng
 module Stopwatch = Olsq2_util.Stopwatch
 
@@ -53,6 +54,62 @@ let test_vec_sort () =
   let v = Vec.of_list 0 [ 3; 1; 2 ] in
   Vec.sort compare v;
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] (Vec.to_list v)
+
+let ivec_list v =
+  let acc = ref [] in
+  Ivec.iter (fun x -> acc := x :: !acc) v;
+  List.rev !acc
+
+let test_ivec_grow_get_set () =
+  let v = Ivec.create ~capacity:1 () in
+  Alcotest.(check int) "fresh ivec empty" 0 (Ivec.length v);
+  for i = 0 to 99 do
+    Ivec.push v (i * i)
+  done;
+  Alcotest.(check int) "length after growing from capacity 1" 100 (Ivec.length v);
+  Alcotest.(check int) "get" (42 * 42) (Ivec.get v 42);
+  Alcotest.(check int) "unsafe_get" (99 * 99) (Ivec.unsafe_get v 99);
+  Ivec.set v 42 (-7);
+  Alcotest.(check int) "set" (-7) (Ivec.get v 42);
+  Alcotest.(check (array int))
+    "to_array copies the live prefix"
+    (Array.init 100 (fun i -> if i = 42 then -7 else i * i))
+    (Ivec.to_array v);
+  Alcotest.check_raises "get past the end" (Invalid_argument "Ivec.get") (fun () ->
+      ignore (Ivec.get v 100));
+  Alcotest.check_raises "set past the end" (Invalid_argument "Ivec.set") (fun () -> Ivec.set v 100 0)
+
+let test_ivec_shrink_clear () =
+  let v = Ivec.create () in
+  List.iter (Ivec.push v) [ 1; 2; 3; 4; 5 ];
+  Ivec.shrink v 2;
+  Alcotest.(check (list int)) "shrunk" [ 1; 2 ] (ivec_list v);
+  Alcotest.check_raises "get a dropped slot" (Invalid_argument "Ivec.get") (fun () ->
+      ignore (Ivec.get v 2));
+  Alcotest.check_raises "shrink cannot grow" (Invalid_argument "Ivec.shrink") (fun () ->
+      Ivec.shrink v 3);
+  Ivec.push v 9;
+  Alcotest.(check (list int)) "push after shrink overwrites" [ 1; 2; 9 ] (ivec_list v);
+  Ivec.clear v;
+  Alcotest.(check int) "cleared" 0 (Ivec.length v);
+  Alcotest.(check (array int)) "cleared to_array" [||] (Ivec.to_array v)
+
+let test_ivec_filteri_sort () =
+  let v = Ivec.create () in
+  List.iter (Ivec.push v) [ 5; 3; 8; 1; 9; 2 ];
+  let calls = ref [] in
+  Ivec.filteri
+    (fun i x ->
+      calls := i :: !calls;
+      i = 0 || x mod 2 = 1)
+    v;
+  Alcotest.(check (list int)) "filteri calls each index in order" [ 0; 1; 2; 3; 4; 5 ]
+    (List.rev !calls);
+  Alcotest.(check (list int)) "filteri keeps order" [ 5; 3; 1; 9 ] (ivec_list v);
+  Ivec.sort compare v;
+  Alcotest.(check (list int)) "sorted" [ 1; 3; 5; 9 ] (ivec_list v);
+  Ivec.sort (fun a b -> compare b a) v;
+  Alcotest.(check (list int)) "sorted descending" [ 9; 5; 3; 1 ] (ivec_list v)
 
 let test_rng_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -112,6 +169,9 @@ let suite =
         Alcotest.test_case "vec bounds" `Quick test_vec_set_get_bounds;
         Alcotest.test_case "vec iter/fold" `Quick test_vec_iter_fold;
         Alcotest.test_case "vec sort" `Quick test_vec_sort;
+        Alcotest.test_case "ivec grow/get/set/to_array" `Quick test_ivec_grow_get_set;
+        Alcotest.test_case "ivec shrink/clear" `Quick test_ivec_shrink_clear;
+        Alcotest.test_case "ivec filteri/iter/sort" `Quick test_ivec_filteri_sort;
         Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
         Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
         Alcotest.test_case "rng shuffle permutation" `Quick test_rng_shuffle_permutation;
